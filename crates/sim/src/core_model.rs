@@ -231,18 +231,17 @@ struct LoadTrack {
     remaining: u32,
 }
 
-/// Memoized readiness verdict for one warp slot. A warp's scoreboard
+/// Warp-local readiness verdict for one warp slot. A warp's scoreboard
 /// outcome only changes through its own issue or an unblocking event
 /// (writeback, load completion, barrier release, dispatch into the
-/// slot), so between those the per-cycle scan can reuse the verdict.
-/// Structural resources (LSQ space, shared pipe) are shared state and
-/// are re-checked fresh on every scan.
+/// slot), so between those the issue stage reuses the verdict, memoized
+/// as one bit in one class of [`ReadySets`]. Structural resources (LSQ
+/// space, shared pipe) are shared state and are re-checked fresh on
+/// every scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ReadyState {
-    /// No cached verdict; run the full readiness check.
-    Unknown,
     /// Blocked for a warp-local reason; the payload records why, for
-    /// stall attribution. Cached together with the verdict: both become
+    /// stall attribution. Memoized together with the verdict: both become
     /// stale through exactly the same unblocking events.
     Blocked(BlockCause),
     /// Ready, with no structural dependence.
@@ -254,8 +253,9 @@ enum ReadyState {
 }
 
 /// Why a warp-local readiness check came back blocked (carried inside
-/// [`ReadyState::Blocked`] so the stall classifier can attribute the
-/// partition's lost cycle without re-deriving anything).
+/// [`ReadyState::Blocked`], and memoized as its own class, so the stall
+/// classifier can attribute the partition's lost cycle without
+/// re-deriving anything).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BlockCause {
     /// Waiting at a CTA barrier.
@@ -264,6 +264,107 @@ enum BlockCause {
     Scoreboard,
     /// Scoreboard dependency with global-memory loads outstanding.
     Mem,
+}
+
+/// Word `w` of every per-slot bitset: bit `i` stands for warp slot
+/// `64 * w + i`. The six verdict classes are disjoint, and only the bits
+/// of occupied, non-stale slots are meaningful.
+#[derive(Debug, Clone, Copy, Default)]
+struct SlotWord {
+    /// A warp is resident in the slot.
+    occupied: u64,
+    /// The memoized verdict is out of date and must be recomputed before
+    /// the slot's partition next scans.
+    stale: u64,
+    /// [`ReadyState::Ready`].
+    ready: u64,
+    /// [`ReadyState::ReadyMemGlobal`].
+    mem_global: u64,
+    /// [`ReadyState::ReadyMemShared`].
+    mem_shared: u64,
+    /// [`ReadyState::Blocked`] with [`BlockCause::Mem`].
+    blocked_mem: u64,
+    /// [`ReadyState::Blocked`] with [`BlockCause::Scoreboard`].
+    blocked_sb: u64,
+    /// [`ReadyState::Blocked`] with [`BlockCause::Barrier`].
+    blocked_bar: u64,
+}
+
+/// The issue stage's readiness memo: per-class bitsets over warp slots
+/// (see [`SlotWord`]) plus each scheduler partition's slot mask, so a
+/// partition's scan, candidate list, and stall attribution are a few
+/// word operations per 64 slots instead of a walk over its slots.
+#[derive(Debug)]
+struct ReadySets {
+    words: Vec<SlotWord>,
+    /// `partitions[s * words.len() + w]`: word `w` of the slots owned by
+    /// scheduler partition `s` (slot `≡ s mod nsched`). Built once.
+    partitions: Vec<u64>,
+}
+
+impl ReadySets {
+    fn new(slots: usize, nsched: usize) -> Self {
+        let nwords = slots.div_ceil(64);
+        let mut partitions = vec![0u64; nsched * nwords];
+        for slot in 0..slots {
+            partitions[(slot % nsched) * nwords + (slot >> 6)] |= 1u64 << (slot & 63);
+        }
+        ReadySets {
+            words: vec![SlotWord::default(); nwords],
+            partitions,
+        }
+    }
+
+    /// Word `w` of partition `s`'s occupied slots.
+    fn occupied_in(&self, s: usize, w: usize) -> u64 {
+        self.partitions[s * self.words.len() + w] & self.words[w].occupied
+    }
+
+    /// Whether partition `s` holds any resident warp.
+    fn any_occupied(&self, s: usize) -> bool {
+        (0..self.words.len()).any(|w| self.occupied_in(s, w) != 0)
+    }
+
+    /// A warp entered `slot`; its verdict is computed on first scan.
+    fn insert(&mut self, slot: usize) {
+        let word = &mut self.words[slot >> 6];
+        word.occupied |= 1u64 << (slot & 63);
+        word.stale |= 1u64 << (slot & 63);
+    }
+
+    /// The warp in `slot` retired.
+    fn remove(&mut self, slot: usize) {
+        self.words[slot >> 6].occupied &= !(1u64 << (slot & 63));
+    }
+
+    /// Drops `slot`'s memoized verdict. Every event that can change a
+    /// warp-local verdict comes through here: the warp issuing, a
+    /// writeback landing in the slot, a tracked load completing, or a
+    /// barrier release.
+    fn invalidate(&mut self, slot: usize) {
+        self.words[slot >> 6].stale |= 1u64 << (slot & 63);
+    }
+
+    /// Memoizes `state` as `slot`'s verdict.
+    fn record(&mut self, slot: usize, state: ReadyState) {
+        let bit = 1u64 << (slot & 63);
+        let word = &mut self.words[slot >> 6];
+        word.stale &= !bit;
+        word.ready &= !bit;
+        word.mem_global &= !bit;
+        word.mem_shared &= !bit;
+        word.blocked_mem &= !bit;
+        word.blocked_sb &= !bit;
+        word.blocked_bar &= !bit;
+        *match state {
+            ReadyState::Ready => &mut word.ready,
+            ReadyState::ReadyMemGlobal => &mut word.mem_global,
+            ReadyState::ReadyMemShared => &mut word.mem_shared,
+            ReadyState::Blocked(BlockCause::Mem) => &mut word.blocked_mem,
+            ReadyState::Blocked(BlockCause::Scoreboard) => &mut word.blocked_sb,
+            ReadyState::Blocked(BlockCause::Barrier) => &mut word.blocked_bar,
+        } |= bit;
+    }
 }
 
 /// Why one scheduler partition failed to issue this cycle. Recorded per
@@ -363,17 +464,10 @@ pub struct Core {
     /// scan instead of repeating it; only meaningful immediately after
     /// [`cycle`](Self::cycle) for the same cycle.
     had_ready_warp: bool,
-    /// Per-slot readiness memo (see [`ReadyState`]). Reset to `Unknown`
-    /// on every event that can change the warp-local verdict: the warp
-    /// issuing, a writeback landing in the slot, a tracked load
-    /// completing, a barrier release, or a new warp dispatched into the
-    /// slot.
-    ready_state: Vec<ReadyState>,
-    /// One bit per warp slot, set while a warp is resident. The issue
-    /// scan reads this (and `ready_state`) instead of poking the fat
-    /// `Option<Warp>` array — the steady-state scan then touches two
-    /// cache lines instead of one per slot.
-    occupied_mask: Vec<u64>,
+    /// Readiness memo and slot occupancy as per-class bitsets (see
+    /// [`ReadySets`]). The issue scan reads these words instead of poking
+    /// the fat `Option<Warp>` array.
+    ready_sets: ReadySets,
     /// Persistent scratch recording each scheduler partition's outcome
     /// for the current cycle; folded into the stall taxonomy at the end
     /// of the issue stage once the quiet verdict is known.
@@ -414,12 +508,12 @@ impl Core {
             .max(cfg.l1_latency)
             .max(cfg.shared_latency + WARP_SIZE as u32 - 1);
         let wheel_size = (max_wb_delay as usize + 2).next_power_of_two();
-        let ready_words = (cfg.max_warps_per_core as usize).div_ceil(64);
+        let slots = cfg.max_warps_per_core as usize;
         Core {
             id,
             cta_slots: (0..cfg.max_ctas_per_core as usize).map(|_| None).collect(),
-            warps: (0..cfg.max_warps_per_core as usize).map(|_| None).collect(),
-            warp_meta: (0..cfg.max_warps_per_core as usize).map(|_| None).collect(),
+            warps: (0..slots).map(|_| None).collect(),
+            warp_meta: (0..slots).map(|_| None).collect(),
             schedulers,
             used_threads: 0,
             used_warps: 0,
@@ -444,10 +538,9 @@ impl Core {
             issued_per_kernel: Vec::new(),
             completed_per_kernel: Vec::new(),
             scratch_candidates: Vec::new(),
-            ready_mask: vec![0; ready_words],
+            ready_mask: vec![0; slots.div_ceil(64)],
             had_ready_warp: false,
-            ready_state: vec![ReadyState::Unknown; cfg.max_warps_per_core as usize],
-            occupied_mask: vec![0; ready_words],
+            ready_sets: ReadySets::new(slots, cfg.num_sched_per_core as usize),
             scratch_outcomes: Vec::new(),
             staging: CoreStaging::default(),
             capture: None,
@@ -652,8 +745,7 @@ impl Core {
                 cap.bufs[w].addrs.clear();
             }
             self.warp_meta[w] = Some(meta);
-            self.ready_state[w] = ReadyState::Unknown;
-            self.occupied_mask[w >> 6] |= 1u64 << (w & 63);
+            self.ready_sets.insert(w);
             for s in &mut self.schedulers {
                 s.on_warp_start(w, &meta);
             }
@@ -787,10 +879,7 @@ impl Core {
     pub(crate) fn account_skipped(&mut self, cycles: u64) {
         let nsched = self.schedulers.len();
         for s in 0..nsched {
-            let occupied = (s..self.warps.len())
-                .step_by(nsched)
-                .any(|slot| self.occupied_mask[slot >> 6] & (1u64 << (slot & 63)) != 0);
-            if occupied {
+            if self.ready_sets.any_occupied(s) {
                 self.stats.stalled_slots += cycles;
             } else {
                 self.stats.idle_slots += cycles;
@@ -894,13 +983,13 @@ impl Core {
                         WbEvent::Reg { warp, reg } => {
                             if let Some(w) = self.warps[warp].as_mut() {
                                 w.pending_regs &= !(1u64 << reg);
-                                self.ready_state[warp] = ReadyState::Unknown;
+                                self.ready_sets.invalidate(warp);
                             }
                         }
                         WbEvent::Pred { warp, pred } => {
                             if let Some(w) = self.warps[warp].as_mut() {
                                 w.pending_preds &= !(1u8 << pred);
-                                self.ready_state[warp] = ReadyState::Unknown;
+                                self.ready_sets.invalidate(warp);
                             }
                         }
                         WbEvent::LoadPartDone { token } => {
@@ -914,7 +1003,7 @@ impl Core {
                                 if let Some(w) = self.warps[warp].as_mut() {
                                     w.pending_regs &= !(1u64 << reg);
                                     w.outstanding_loads -= 1;
-                                    self.ready_state[warp] = ReadyState::Unknown;
+                                    self.ready_sets.invalidate(warp);
                                 }
                             }
                         }
@@ -1112,32 +1201,39 @@ impl Core {
         for (s, sched) in schedulers.iter_mut().enumerate() {
             let mut occupied_any = false;
             candidates.clear();
-            ready.fill(0);
             // Structural resources are re-read per scheduler: the
             // previous scheduler's issue may have consumed them.
             let lsq_has_space = self.lsq.len() < self.cfg.ldst_queue_len;
             let shared_free = self.shared_pipe_free <= now;
-            for slot in (s..self.warps.len()).step_by(nsched) {
-                if self.occupied_mask[slot >> 6] & (1u64 << (slot & 63)) != 0 {
-                    occupied_any = true;
-                    let state = match self.ready_state[slot] {
-                        ReadyState::Unknown => {
-                            let st = self.readiness(slot);
-                            self.ready_state[slot] = st;
-                            st
-                        }
-                        st => st,
-                    };
-                    let ready_now = match state {
-                        ReadyState::Ready => true,
-                        ReadyState::ReadyMemGlobal => lsq_has_space,
-                        ReadyState::ReadyMemShared => shared_free,
-                        ReadyState::Blocked(_) | ReadyState::Unknown => false,
-                    };
-                    if ready_now {
-                        candidates.push(slot);
-                        ready[slot >> 6] |= 1u64 << (slot & 63);
-                    }
+            for (w, ready_word) in ready.iter_mut().enumerate() {
+                let occ = self.ready_sets.occupied_in(s, w);
+                *ready_word = 0;
+                if occ == 0 {
+                    continue;
+                }
+                occupied_any = true;
+                // Refresh stale verdicts in ascending slot order, at this
+                // partition's turn (after earlier partitions issued).
+                let mut stale = self.ready_sets.words[w].stale & occ;
+                while stale != 0 {
+                    let slot = (w << 6) | stale.trailing_zeros() as usize;
+                    stale &= stale - 1;
+                    let st = self.readiness(slot);
+                    self.ready_sets.record(slot, st);
+                }
+                let word = &self.ready_sets.words[w];
+                let mut cand = word.ready;
+                if lsq_has_space {
+                    cand |= word.mem_global;
+                }
+                if shared_free {
+                    cand |= word.mem_shared;
+                }
+                cand &= occ;
+                *ready_word = cand;
+                while cand != 0 {
+                    candidates.push((w << 6) | cand.trailing_zeros() as usize);
+                    cand &= cand - 1;
                 }
             }
             if !occupied_any {
@@ -1147,7 +1243,7 @@ impl Core {
             }
             if candidates.is_empty() {
                 self.stats.stalled_slots += 1;
-                outcomes.push(self.classify_stall(s, nsched, lsq_has_space, shared_free));
+                outcomes.push(self.classify_stall(s, lsq_has_space, shared_free));
                 continue;
             }
             self.had_ready_warp = true;
@@ -1168,8 +1264,8 @@ impl Core {
             self.stats.issued_slots += 1;
             outcomes.push(SlotStall::Issued);
             // Issuing advances the warp's pc and scoreboard state: its
-            // cached verdict is stale.
-            self.ready_state[slot] = ReadyState::Unknown;
+            // memoized verdict is stale.
+            self.ready_sets.invalidate(slot);
             if let Some(c) = self.execute_one(slot, now) {
                 self.staging.completions.push(c);
             }
@@ -1214,37 +1310,30 @@ impl Core {
     }
 
     /// Attributes a stalled scheduler partition (occupied, no candidates)
-    /// to one taxonomy cause by OR-ing the per-warp verdicts and picking
-    /// the highest-priority cause present: memory > execution unit >
-    /// scoreboard > barrier. Reads only memoized state — by the time a
-    /// partition stalls, every occupied slot's verdict was just computed
-    /// or cached by the scan.
-    fn classify_stall(
-        &self,
-        s: usize,
-        nsched: usize,
-        lsq_has_space: bool,
-        shared_free: bool,
-    ) -> SlotStall {
-        let (mut mem, mut exec, mut sb, mut bar) = (false, false, false, false);
-        for slot in (s..self.warps.len()).step_by(nsched) {
-            if self.occupied_mask[slot >> 6] & (1u64 << (slot & 63)) == 0 {
-                continue;
+    /// to one taxonomy cause by OR-ing the partition's verdict classes
+    /// and picking the highest-priority cause present: memory > execution
+    /// unit > scoreboard > barrier. Reads only memoized state — by the
+    /// time a partition stalls, every occupied slot's verdict was just
+    /// refreshed by the scan.
+    fn classify_stall(&self, s: usize, lsq_has_space: bool, shared_free: bool) -> SlotStall {
+        let (mut mem, mut exec, mut sb, mut bar) = (0u64, 0u64, 0u64, 0u64);
+        for (w, word) in self.ready_sets.words.iter().enumerate() {
+            let occ = self.ready_sets.occupied_in(s, w);
+            mem |= occ & word.blocked_mem;
+            if !lsq_has_space {
+                mem |= occ & word.mem_global;
             }
-            match self.ready_state[slot] {
-                ReadyState::Blocked(BlockCause::Mem) => mem = true,
-                ReadyState::Blocked(BlockCause::Scoreboard) => sb = true,
-                ReadyState::Blocked(BlockCause::Barrier) => bar = true,
-                ReadyState::ReadyMemGlobal if !lsq_has_space => mem = true,
-                ReadyState::ReadyMemShared if !shared_free => exec = true,
-                _ => {}
+            if !shared_free {
+                exec |= occ & word.mem_shared;
             }
+            sb |= occ & word.blocked_sb;
+            bar |= occ & word.blocked_bar;
         }
-        if mem {
+        if mem != 0 {
             SlotStall::MemPending
-        } else if exec {
+        } else if exec != 0 {
             SlotStall::ExecBusy
-        } else if bar && !sb {
+        } else if bar != 0 && sb == 0 {
             SlotStall::Barrier
         } else {
             SlotStall::Scoreboard
@@ -1277,7 +1366,7 @@ impl Core {
             shared_pipe_free,
             stats,
             issued_per_kernel,
-            ready_state,
+            ready_sets,
             staging,
             id: core_id,
             ..
@@ -1459,7 +1548,7 @@ impl Core {
                         if let Some(other) = warps_get_mut(warps, ws, slot) {
                             other.at_barrier = false;
                         }
-                        ready_state[ws] = ReadyState::Unknown;
+                        ready_sets.invalidate(ws);
                     }
                     // `warps_get_mut` cannot hand back `slot` itself, so
                     // clear it explicitly.
@@ -1666,7 +1755,7 @@ impl Core {
             shared_pipe_free,
             stats,
             issued_per_kernel,
-            ready_state,
+            ready_sets,
             staging,
             id: core_id,
             ..
@@ -1746,7 +1835,7 @@ impl Core {
                         if let Some(other) = warps_get_mut(warps, ws, slot) {
                             other.at_barrier = false;
                         }
-                        ready_state[ws] = ReadyState::Unknown;
+                        ready_sets.invalidate(ws);
                     }
                     warps[slot].as_mut().expect("self").at_barrier = false;
                 }
@@ -1870,7 +1959,7 @@ impl Core {
         }
         self.warps[slot] = None;
         self.warp_meta[slot] = None;
-        self.occupied_mask[slot >> 6] &= !(1u64 << (slot & 63));
+        self.ready_sets.remove(slot);
         self.finished_warps.push(slot);
         let release_slots = {
             let cta = self.cta_slots[cta_slot].as_mut().expect("cta present");
@@ -1891,7 +1980,7 @@ impl Core {
             for ws in release {
                 if let Some(w) = self.warps[ws].as_mut() {
                     w.at_barrier = false;
-                    self.ready_state[ws] = ReadyState::Unknown;
+                    self.ready_sets.invalidate(ws);
                 }
             }
             return None;

@@ -73,6 +73,34 @@ pub fn conservation_violations(stats: &SimStats) -> Vec<String> {
         }
     }
 
+    // Slot-total conservation: every core cycle books exactly one slot
+    // (issued, idle, or stalled) per scheduler partition, live or
+    // fast-forwarded, so per core the three counters total k × cycles,
+    // with the same partition count k on every core.
+    let mut partitions: Option<(usize, u64)> = None;
+    for (i, c) in stats.cores.iter().enumerate() {
+        let slots = c.issued_slots + c.idle_slots + c.stalled_slots;
+        if slots == 0 && c.core_cycles == 0 {
+            continue;
+        }
+        if c.core_cycles == 0 || slots % c.core_cycles != 0 {
+            v.push(format!(
+                "core {i}: {slots} scheduler slots over {} cycles is not a whole \
+                 number of slots per cycle",
+                c.core_cycles
+            ));
+            continue;
+        }
+        let k = slots / c.core_cycles;
+        match partitions {
+            None => partitions = Some((i, k)),
+            Some((first, k0)) if k0 != k => v.push(format!(
+                "core {i}: {k} scheduler slots per cycle, core {first} has {k0}"
+            )),
+            Some(_) => {}
+        }
+    }
+
     // Every core is stepped (or fast-forward-accounted) every device
     // cycle, so the observed cycle counts must agree across cores.
     for pair in stats.cores.windows(2) {
@@ -171,15 +199,22 @@ mod tests {
             l1: Default::default(),
             fabric: Default::default(),
             cores: vec![
+                // Two scheduler partitions over 1000 cycles: 2000 slots.
                 CoreStats {
                     issued: 30,
                     issued_slots: 30,
+                    stalled_slots: 1970,
+                    stall_ff_idle: 1970,
+                    core_cycles: 1000,
                     ctas_completed: 1,
                     ..Default::default()
                 },
                 CoreStats {
                     issued: 10,
                     issued_slots: 10,
+                    stalled_slots: 1990,
+                    stall_ff_idle: 1990,
+                    core_cycles: 1000,
                     ctas_completed: 1,
                     ..Default::default()
                 },
@@ -230,19 +265,55 @@ mod tests {
     #[test]
     fn stall_taxonomy_must_balance_slot_counters() {
         let mut s = balanced();
-        // Attribute the lost slots fully: 6 stalled + 4 idle across the
+        // Attribute the lost slots fully: 1966 stalled + 4 idle across the
         // taxonomy balances; then break it by one slot.
-        s.cores[0].stalled_slots = 6;
+        s.cores[0].stalled_slots = 1966;
         s.cores[0].idle_slots = 4;
         s.cores[0].stall_scoreboard = 3;
         s.cores[0].stall_mem_pending = 2;
         s.cores[0].stall_barrier = 1;
         s.cores[0].stall_no_resident = 1;
-        s.cores[0].stall_ff_idle = 3;
+        s.cores[0].stall_ff_idle = 1963;
         assert_conservation(&s);
-        s.cores[0].stall_ff_idle = 2;
+        s.cores[0].stall_ff_idle = 1962;
         let v = conservation_violations(&s);
-        assert!(v.iter().any(|m| m.contains("stall taxonomy")), "{v:?}");
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("stall taxonomy"), "{v:?}");
+    }
+
+    #[test]
+    fn slot_totals_must_be_whole_partitions_per_cycle() {
+        let mut s = balanced();
+        // One slot lost on core 1: 1999 slots over 1000 cycles.
+        s.cores[1].stalled_slots -= 1;
+        s.cores[1].stall_ff_idle -= 1;
+        let v = conservation_violations(&s);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("core 1: 1999 scheduler slots"), "{v:?}");
+
+        // Slots booked while no cycle elapsed.
+        let mut s = balanced();
+        s.cores[1] = CoreStats {
+            idle_slots: 2,
+            stall_no_resident: 2,
+            ..Default::default()
+        };
+        let v = conservation_violations(&s);
+        assert!(v.iter().any(|m| m.contains("over 0 cycles")), "{v:?}");
+    }
+
+    #[test]
+    fn slot_totals_must_agree_on_partition_count() {
+        let mut s = balanced();
+        // Core 1 books three slots per cycle: whole, but not core 0's two.
+        s.cores[1].stalled_slots += 1000;
+        s.cores[1].stall_ff_idle += 1000;
+        let v = conservation_violations(&s);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(
+            v[0].contains("core 1: 3 scheduler slots per cycle, core 0 has 2"),
+            "{v:?}"
+        );
     }
 
     #[test]
