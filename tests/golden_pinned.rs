@@ -16,10 +16,17 @@
 //! `spmv-ell`, `fmaheavy` and `hotspot` are shrunk (fewer nonzeros,
 //! iterations, rows) so the whole suite stays near 10 s in a debug build.
 //!
+//! Every kernel above is race-free, so none of them can see the order in
+//! which global loads and stores of different cores land within one
+//! cycle. The `racy` kernel pins that order: every CTA's lanes store
+//! their CTA id to one shared word and load it straight back, so the
+//! values they observe depend on exactly which cores' stores came first.
+//!
 //! When a change is *meant* to alter timing, the failure message lists
 //! every new digest in the table's own syntax, ready to paste back.
 
-use gpgpu_repro::sim::{CoreStats, GpuConfig, SimStats};
+use gpgpu_repro::isa::{Dim2, KernelBuilder, KernelDescriptor, SpecialReg};
+use gpgpu_repro::sim::{CoreStats, GpuConfig, GpuDevice, SimStats};
 use gpgpu_repro::tbs::{CtaPolicy, WarpPolicy};
 use gpgpu_repro::workloads::compute::FmaHeavy;
 use gpgpu_repro::workloads::irregular::SpmvEll;
@@ -27,6 +34,8 @@ use gpgpu_repro::workloads::reduce::Reduction;
 use gpgpu_repro::workloads::stencil::Hotspot;
 use gpgpu_repro::workloads::streaming::VecAdd;
 use gpgpu_repro::workloads::{run_workload_with_device, Workload};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 mod common;
 use common::single_core;
@@ -263,6 +272,75 @@ fn single_core_partitions_match_pinned_digests() {
     }
     check(SINGLE_CORE, "", &computed);
 }
+
+const RACY_CTAS: u32 = 60;
+const RACY_BLOCK: u32 = 64;
+const RACY_ROUNDS: u32 = 4;
+
+/// The racy kernel: each round, every lane stores its CTA id to the
+/// shared word at `param 0`, loads the word back, and writes what it saw
+/// to its own slot of round `r` in the output buffer at `param 1`.
+fn racy_kernel(word: u64, out: u64) -> KernelDescriptor {
+    let threads = RACY_CTAS * RACY_BLOCK;
+    let mut k = KernelBuilder::new("racy", Dim2::x(RACY_BLOCK));
+    let pword = k.param(0);
+    let pout = k.param(1);
+    let cta = k.special(SpecialReg::CtaIdX);
+    let gid = k.global_tid_x();
+    let off = k.shl(gid, 2u64);
+    let slot = k.iadd(pout, off);
+    for r in 0..RACY_ROUNDS {
+        k.st_global_u32(cta, pword, 0);
+        let seen = k.ld_global_u32(pword, 0);
+        k.st_global_u32(seen, slot, i64::from(r * threads * 4));
+    }
+    let prog = Arc::new(k.build().expect("racy kernel is well-formed"));
+    KernelDescriptor::builder(prog, Dim2::x(RACY_CTAS), Dim2::x(RACY_BLOCK))
+        .regs_per_thread(16)
+        .params([word, out])
+        .build()
+        .expect("valid launch")
+}
+
+/// Runs the racy kernel on Fermi under GTO and `cta`; digests the run
+/// (stats and memory hash) followed by every observed value.
+fn run_racy(cta: CtaPolicy) -> (u64, BTreeSet<u32>) {
+    let factory = WarpPolicy::Gto.factory();
+    let mut gpu = GpuDevice::new(GpuConfig::fermi(), factory.as_ref(), cta.scheduler());
+    let slots = (RACY_CTAS * RACY_BLOCK * RACY_ROUNDS) as usize;
+    let word = gpu.alloc(4);
+    let out = gpu.alloc(slots as u64 * 4);
+    gpu.launch(racy_kernel(word, out));
+    gpu.run(MAX_CYCLES)
+        .unwrap_or_else(|e| panic!("racy/{cta}: {e}"));
+    let seen = gpu.mem_ref().read_u32_vec(out, slots);
+    let mut h = Fnv(digest(&gpu.stats(), gpu.mem_ref().content_hash()));
+    for &v in &seen {
+        assert!(v < RACY_CTAS, "racy/{cta}: observed {v}, not a CTA id");
+        h.word(u64::from(v));
+    }
+    (h.0, seen.into_iter().collect())
+}
+
+#[test]
+fn fermi_racy_cross_core_order_matches_pinned_digests() {
+    let mut computed = Vec::new();
+    for (cta_name, cta) in CTA_POLICIES {
+        let (d, ids) = run_racy(cta);
+        assert!(
+            ids.len() >= 2,
+            "racy/{cta_name}: only CTA ids {ids:?} observed; the kernel raced nothing"
+        );
+        computed.push((format!("racy/{cta_name}"), d));
+    }
+    check(RACY, "", &computed);
+}
+
+const RACY: &[(&str, u64)] = &[
+    ("racy/baseline", 0xcbbbec6d943b2ccb),
+    ("racy/lcs", 0xcbbbec6d943b2ccb),
+    ("racy/bcs", 0xb47bc1c51faece65),
+];
 
 const FERMI: &[(&str, u64)] = &[
     ("vecadd/lrr/baseline", 0x1a2b724b3cff7456),
