@@ -6,8 +6,6 @@
 //! exp --quick --all             # Tiny scale (smoke test)
 //! exp --store cache --all       # persistent result store: warm reruns
 //!                               # simulate nothing
-//! exp serve --store cache       # long-running job server
-//! exp submit --all              # run E1..E11 against that server
 //! exp trace                     # telemetry smoke run (no tables)
 //! exp --list                    # show experiment ids
 //! exp <command> --help          # per-command options
@@ -21,11 +19,10 @@
 //! failure, 2 usage error.
 
 use gpgpu_bench::cli::{
-    Cli, Command, CommonArgs, FuzzArgs, Parsed, PerfArgs, ReportArgs, RunArgs, ServeArgs,
-    SubmitArgs, TraceArgs, EXIT_RUNTIME, EXIT_USAGE,
+    Cli, Command, CommonArgs, FuzzArgs, Parsed, PerfArgs, ReportArgs, RunArgs, TraceArgs,
+    EXIT_RUNTIME, EXIT_USAGE,
 };
 use gpgpu_bench::experiments::{all_ids, collect_experiment, plan_experiment, trace_points};
-use gpgpu_bench::service::{Client, Event, RemoteClient, ServeConfig, Server, Source};
 use gpgpu_bench::simcheck::{check_case, fuzz_seeds, FuzzCase};
 use gpgpu_bench::{Harness, ReplayMode, ResultStore, RunEngine, RunSpec};
 use gpgpu_sim::TelemetryConfig;
@@ -54,7 +51,6 @@ fn main() -> ExitCode {
     if !cli.common.fast_forward {
         gpgpu_sim::set_fast_forward_default(false);
     }
-    gpgpu_sim::set_sim_threads_default(cli.common.sim_threads);
 
     let mut h = Harness::default();
     h.scale = cli.common.scale;
@@ -73,16 +69,8 @@ fn main() -> ExitCode {
     match cli.command {
         Command::Run(args) => run_experiments(&h, &cli.common, args, store),
         Command::Trace(args) => run_trace_smoke(&h, &cli.common, args, store),
-        Command::Perf(args) => {
-            if args.sweep_only {
-                run_perf_sweep_only(&h, &args, cli.common.json, cli.common.sim_threads)
-            } else {
-                run_perf(&h, &args, &cli.common, store)
-            }
-        }
+        Command::Perf(args) => run_perf(&h, &args, &cli.common, store),
         Command::Fuzz(args) => run_fuzz(&h, &args),
-        Command::Serve(args) => run_serve(&h, &cli.common, args, store),
-        Command::Submit(args) => run_submit(&h, &cli.common, args),
         Command::Report(args) => run_report(&cli.common, &args),
     }
 }
@@ -151,29 +139,6 @@ fn ensure_writable_dir(dir: &Path) -> std::io::Result<()> {
     std::fs::remove_file(&probe)
 }
 
-/// Collects `ids` from `engine` and writes each table as CSV under the
-/// harness out-dir (shared by `run` and `submit`, which must produce
-/// byte-identical files from the same results).
-fn collect_and_write(h: &Harness, ids: &[String], engine: &RunEngine) -> ExitCode {
-    for id in ids {
-        let t0 = std::time::Instant::now();
-        let tables = collect_experiment(id, h, engine);
-        for (i, table) in tables.iter().enumerate() {
-            println!("{table}");
-            let path = if tables.len() == 1 {
-                h.out_dir.join(format!("{id}.csv"))
-            } else {
-                h.out_dir.join(format!("{id}_{}.csv", (b'a' + i as u8) as char))
-            };
-            if let Err(e) = table.write_csv(&path) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            }
-        }
-        println!("[{id} collected in {:.1?}]\n", t0.elapsed());
-    }
-    ExitCode::SUCCESS
-}
-
 /// The default `run` path: plan, execute (through the store when given),
 /// collect, write CSVs and traces.
 fn run_experiments(
@@ -225,9 +190,21 @@ fn run_experiments(
     }
     engine.execute_batch(&specs);
 
-    let code = collect_and_write(h, &ids, &engine);
-    if code != ExitCode::SUCCESS {
-        return code;
+    for id in &ids {
+        let t0 = std::time::Instant::now();
+        let tables = collect_experiment(id, h, &engine);
+        for (i, table) in tables.iter().enumerate() {
+            println!("{table}");
+            let path = if tables.len() == 1 {
+                h.out_dir.join(format!("{id}.csv"))
+            } else {
+                h.out_dir.join(format!("{id}_{}.csv", (b'a' + i as u8) as char))
+            };
+            if let Err(e) = table.write_csv(&path) {
+                eprintln!("warning: could not write {}: {e}", path.display());
+            }
+        }
+        println!("[{id} collected in {:.1?}]\n", t0.elapsed());
     }
     if let Some(dir) = &args.trace_dir {
         if let Err(e) = write_traces(dir, &traces, &engine) {
@@ -289,150 +266,17 @@ fn write_traces(
     Ok(())
 }
 
-/// The `serve` path: bind, announce, accept until shut down.
-fn run_serve(
-    h: &Harness,
-    common: &CommonArgs,
-    args: ServeArgs,
-    store: Option<Arc<ResultStore>>,
-) -> ExitCode {
-    let cfg = ServeConfig {
-        addr: args.addr,
-        jobs: h.jobs,
-        queue_cap: args.queue_cap,
-        progress_every: args.progress_every,
-        store,
-        stats_log_every: args.stats_log_every,
-        replay: common.replay,
-    };
-    let server = match Server::bind(cfg) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot start server: {e}");
-            return ExitCode::from(EXIT_RUNTIME);
-        }
-    };
-    println!("[serve: listening on {} ({} workers)]", server.local_addr(), h.jobs);
-    match server.run() {
-        Ok(()) => {
-            println!("[serve: shut down cleanly]");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: server failed: {e}");
-            ExitCode::from(EXIT_RUNTIME)
-        }
-    }
-}
-
-/// The `submit` path: plan locally, run the batch on a server, seed a
-/// local engine with the returned results, and collect the same tables a
-/// local `run` would produce — byte-identically.
-fn run_submit(h: &Harness, common: &CommonArgs, args: SubmitArgs) -> ExitCode {
-    let client = RemoteClient::new(args.addr.clone());
-    let ids: Vec<String> = if args.all {
-        all_ids().into_iter().map(String::from).collect()
-    } else {
-        args.ids.clone()
-    };
-    if !ids.is_empty() {
-        let mut specs = Vec::new();
-        for id in &ids {
-            specs.extend(plan_experiment(id, h));
-        }
-        println!(
-            "[submit: {} specs from {} experiment(s) -> {}]",
-            specs.len(),
-            ids.len(),
-            args.addr
-        );
-        let t0 = std::time::Instant::now();
-        let mut client = client;
-        let mut started = 0usize;
-        let items = client.run_batch_observed(&specs, &mut |event| match event {
-            Event::Accepted { runs, unique } => {
-                println!("[submit: accepted {runs} runs ({unique} unique)]");
-            }
-            Event::RunStarted { .. } => {
-                started += 1;
-                println!("[submit: run {started} started on server]");
-            }
-            Event::RunProgress {
-                cycle,
-                instructions,
-                ..
-            } => {
-                println!("[submit: in flight at cycle {cycle}, {instructions} instructions]");
-            }
-            _ => {}
-        });
-        let items = match items {
-            Ok(items) => items,
-            Err(e) => {
-                eprintln!("error: submit failed: {e}");
-                return ExitCode::from(EXIT_RUNTIME);
-            }
-        };
-        let (mut simulated, mut cached, mut coalesced, mut replayed) = (0usize, 0usize, 0usize, 0usize);
-        for item in &items {
-            match item.source {
-                Source::Simulated => simulated += 1,
-                Source::Cached => cached += 1,
-                Source::Coalesced => coalesced += 1,
-                Source::Replayed => replayed += 1,
-            }
-        }
-        println!(
-            "[submit: {} results in {:.1?} ({simulated} simulated, {cached} cached, {coalesced} coalesced, {replayed} replayed)]",
-            items.len(),
-            t0.elapsed()
-        );
-        // Seed a local engine with the remote results; collect phases
-        // then tabulate exactly as a local run would.
-        let engine = RunEngine::new(h.jobs);
-        for (spec, item) in specs.iter().zip(&items) {
-            engine.seed_result(spec, Arc::clone(&item.result));
-        }
-        let code = collect_and_write(h, &ids, &engine);
-        if code != ExitCode::SUCCESS {
-            return code;
-        }
-        if common.json {
-            println!("{}", engine.summary().to_json());
-        }
-        if args.shutdown {
-            if let Err(e) = RemoteClient::new(args.addr).shutdown() {
-                eprintln!("error: shutdown failed: {e}");
-                return ExitCode::from(EXIT_RUNTIME);
-            }
-            println!("[submit: server asked to shut down]");
-        }
-        return ExitCode::SUCCESS;
-    }
-    // --shutdown alone.
-    match client.shutdown() {
-        Ok(()) => {
-            println!("[submit: server asked to shut down]");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: shutdown failed: {e}");
-            ExitCode::from(EXIT_RUNTIME)
-        }
-    }
-}
-
 /// The `perf` path: simulate the full E1..E11 batch (no tables), report
-/// per-simulation and wall-clock-aggregate throughput, sweep one
-/// simulation across sim-thread counts, write a machine-readable
-/// `BENCH_sim.json`, and optionally gate against a previous report.
+/// per-simulation and wall-clock-aggregate throughput, write a
+/// machine-readable `BENCH_sim.json`, and optionally gate against a
+/// previous report.
 ///
 /// The two rates answer different questions and must not be conflated:
 /// the *per-simulation* rate (total cycles over summed worker time) is
-/// how fast one simulation progresses — it rises with `--sim-threads`
-/// and is what the regression gate compares, like for like. The
-/// *wall-clock aggregate* rate (total cycles over batch elapsed time)
-/// additionally scales with `--jobs` batch parallelism.
+/// how fast one simulation progresses — it is what the regression gate
+/// compares, like for like. The *wall-clock aggregate* rate (total cycles
+/// over batch elapsed time) additionally scales with `--jobs` batch
+/// parallelism.
 ///
 /// The gated reference batch always runs direct (replay off, no cached
 /// results): a warm store or a cheap replay would fake the throughput
@@ -447,7 +291,6 @@ fn run_perf(
     store: Option<Arc<ResultStore>>,
 ) -> ExitCode {
     let json = common.json;
-    let sim_threads = common.sim_threads;
     let engine = h.engine();
     let mut specs = Vec::new();
     for id in all_ids() {
@@ -459,25 +302,13 @@ fn run_perf(
     let summary = engine.summary();
     println!("{summary}");
     println!(
-        "[perf: {} Mcycles in {:.1}s elapsed ({} worker threads x {} sim threads); {:.2} Mcycles/s per simulation, {:.2} Mcycles/s wall-clock aggregate]",
+        "[perf: {} Mcycles in {:.1}s elapsed ({} worker threads); {:.2} Mcycles/s per simulation, {:.2} Mcycles/s wall-clock aggregate]",
         summary.sim_cycles / 1_000_000,
         elapsed.as_secs_f64(),
         summary.jobs,
-        sim_threads,
         summary.cycles_per_second() / 1e6,
         summary.wall_cycles_per_second(elapsed.as_nanos() as u64) / 1e6
     );
-
-    // Per-thread-count throughput of a single simulation (batch-level
-    // `--jobs` parallelism plays no part here). Every sweep run must be
-    // byte-identical — the sweep doubles as a live determinism check.
-    let sweep_entries = match run_thread_sweep(h, sim_threads, &args.thread_sweep) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(EXIT_RUNTIME);
-        }
-    };
 
     // With --replay, run the identical batch again on a fresh engine in
     // replay mode (cold memo; the store, when given, supplies execution
@@ -516,27 +347,13 @@ fn run_perf(
     };
 
     // The engine summary is already flat JSON; prepend the batch-level
-    // elapsed time and wall-clock rate, and append the thread sweep.
+    // elapsed time and wall-clock rate.
     let mut payload = format!(
         "{{\"bench\":\"exp_perf\",\"elapsed_nanos\":{},\"wall_cycles_per_second\":{:.1},{}",
         elapsed.as_nanos(),
         summary.wall_cycles_per_second(elapsed.as_nanos() as u64),
         &summary.to_json()[1..]
     );
-    if !sweep_entries.is_empty() {
-        payload.pop(); // trailing '}'
-        payload.push_str(",\"thread_sweep\":[");
-        for (i, e) in sweep_entries.iter().enumerate() {
-            if i > 0 {
-                payload.push(',');
-            }
-            payload.push_str(&format!(
-                "{{\"sim_threads\":{},\"cycles\":{},\"wall_nanos\":{},\"cps\":{:.1}}}",
-                e.sim_threads, e.cycles, e.wall_nanos, e.cps()
-            ));
-        }
-        payload.push_str("]}");
-    }
     // Aggregate cycle accounting over the batch's unique runs, keyed by
     // the scale tier this invocation benchmarked. Observation-only data;
     // the gate keeps scanning for "cycles_per_second" untouched above.
@@ -622,125 +439,6 @@ fn run_perf(
         }
     }
     ExitCode::SUCCESS
-}
-
-/// The `perf --sweep-only` path: just the single-simulation thread
-/// sweep, no E1..E11 batch. This is how the large-scale scaling numbers
-/// are recorded without paying for a full batch at that scale. The JSON
-/// deliberately carries no `cycles_per_second` field, so it can never be
-/// mistaken for a gating baseline.
-fn run_perf_sweep_only(h: &Harness, args: &PerfArgs, json: bool, sim_threads: usize) -> ExitCode {
-    let sweep_entries = match run_thread_sweep(h, sim_threads, &args.thread_sweep) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(EXIT_RUNTIME);
-        }
-    };
-    let mut payload = format!(
-        "{{\"bench\":\"exp_perf_sweep\",\"scale\":\"{:?}\",\"thread_sweep\":[",
-        h.scale
-    );
-    for (i, e) in sweep_entries.iter().enumerate() {
-        if i > 0 {
-            payload.push(',');
-        }
-        payload.push_str(&format!(
-            "{{\"sim_threads\":{},\"cycles\":{},\"wall_nanos\":{},\"cps\":{:.1}}}",
-            e.sim_threads, e.cycles, e.wall_nanos, e.cps()
-        ));
-    }
-    payload.push_str("]}");
-    if let Err(e) = std::fs::write(&args.bench_out, format!("{payload}\n")) {
-        eprintln!("cannot write {}: {e}", args.bench_out.display());
-        return ExitCode::from(EXIT_RUNTIME);
-    }
-    println!("[wrote {}]", args.bench_out.display());
-    if json {
-        println!("{payload}");
-    }
-    ExitCode::SUCCESS
-}
-
-/// One measured point of the single-simulation thread sweep.
-struct SweepEntry {
-    sim_threads: usize,
-    cycles: u64,
-    instructions: u64,
-    mem_hash: u64,
-    wall_nanos: u64,
-}
-
-impl SweepEntry {
-    fn cps(&self) -> f64 {
-        if self.wall_nanos == 0 {
-            0.0
-        } else {
-            self.cycles as f64 / (self.wall_nanos as f64 / 1e9)
-        }
-    }
-}
-
-/// Runs one representative simulation (`fmaheavy` at the harness scale,
-/// GTO/baseline) once per requested thread count, timing each run and
-/// checking that cycles, instructions, and the memory hash are identical
-/// across all of them. Restores the process-wide `--sim-threads` default
-/// before returning.
-fn run_thread_sweep(
-    h: &Harness,
-    sim_threads: usize,
-    thread_sweep: &[usize],
-) -> Result<Vec<SweepEntry>, String> {
-    use tbs_core::{CtaPolicy, WarpPolicy};
-    let mut entries: Vec<SweepEntry> = Vec::new();
-    for &t in thread_sweep {
-        gpgpu_sim::set_sim_threads_default(t);
-        let mut w = gpgpu_workloads::by_name("fmaheavy", h.scale).expect("suite workload");
-        let factory = WarpPolicy::Gto.factory();
-        let t0 = std::time::Instant::now();
-        let run = gpgpu_workloads::run_workload_with_device(
-            w.as_mut(),
-            h.gpu.clone(),
-            factory.as_ref(),
-            CtaPolicy::Baseline(None).scheduler(),
-            h.max_cycles,
-        );
-        let wall_nanos = t0.elapsed().as_nanos() as u64;
-        gpgpu_sim::set_sim_threads_default(sim_threads);
-        let (outcome, gpu) = run.map_err(|e| format!("thread sweep at {t} threads: {e}"))?;
-        let entry = SweepEntry {
-            sim_threads: t,
-            cycles: outcome.stats.cycles,
-            instructions: outcome.stats.instructions,
-            mem_hash: gpu.mem_ref().content_hash(),
-            wall_nanos,
-        };
-        println!(
-            "[perf sweep: sim-threads {:>2} -> {:.2} Mcycles/s ({} cycles in {:.2}s)]",
-            t,
-            entry.cps() / 1e6,
-            entry.cycles,
-            wall_nanos as f64 / 1e9
-        );
-        if let Some(first) = entries.first() {
-            if (entry.cycles, entry.instructions, entry.mem_hash)
-                != (first.cycles, first.instructions, first.mem_hash)
-            {
-                return Err(format!(
-                    "thread sweep: results at {t} threads diverge from {} threads (cycles {} vs {}, instructions {} vs {}, mem hash {:#x} vs {:#x})",
-                    first.sim_threads,
-                    entry.cycles,
-                    first.cycles,
-                    entry.instructions,
-                    first.instructions,
-                    entry.mem_hash,
-                    first.mem_hash
-                ));
-            }
-        }
-        entries.push(entry);
-    }
-    Ok(entries)
 }
 
 /// Extracts `cycles_per_second` from a previous `BENCH_sim.json` (flat

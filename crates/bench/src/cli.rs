@@ -1,7 +1,7 @@
 //! Typed command-line interface shared by every `exp` subcommand.
 //!
 //! One parser produces one [`Cli`] value: [`CommonArgs`] (scale, jobs,
-//! out-dir, sim-threads, store, `--json`) apply uniformly to every
+//! out-dir, store, `--json`) apply uniformly to every
 //! subcommand, and [`Command`] carries the per-subcommand arguments.
 //! Parsing is position-independent — `exp --quick perf` and
 //! `exp perf --quick` mean the same thing — which keeps every historical
@@ -36,8 +36,6 @@ pub struct CommonArgs {
     pub jobs: Option<usize>,
     /// Output directory (`--out-dir`); `None` means `results/`.
     pub out_dir: Option<PathBuf>,
-    /// Per-simulation core-stepping threads (`--sim-threads`).
-    pub sim_threads: usize,
     /// Also print machine-readable JSON summaries (`--json`).
     pub json: bool,
     /// Idle fast-forward enabled (disabled by `--no-fast-forward`).
@@ -56,7 +54,6 @@ impl Default for CommonArgs {
             scale: Scale::Small,
             jobs: None,
             out_dir: None,
-            sim_threads: 1,
             json: false,
             fast_forward: true,
             store_dir: None,
@@ -95,11 +92,6 @@ pub struct PerfArgs {
     pub bench_out: PathBuf,
     /// Previous report to gate against (`--baseline`).
     pub baseline: Option<PathBuf>,
-    /// Sim-thread counts for the single-simulation sweep
-    /// (`--thread-sweep`; empty skips it).
-    pub thread_sweep: Vec<usize>,
-    /// Skip the E1..E11 batch (`--sweep-only`).
-    pub sweep_only: bool,
 }
 
 impl Default for PerfArgs {
@@ -107,8 +99,6 @@ impl Default for PerfArgs {
         PerfArgs {
             bench_out: PathBuf::from("BENCH_sim.json"),
             baseline: None,
-            thread_sweep: vec![1, 2, 4],
-            sweep_only: false,
         }
     }
 }
@@ -134,63 +124,12 @@ impl Default for FuzzArgs {
     }
 }
 
-/// Arguments of the `serve` subcommand.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeArgs {
-    /// Address to bind (`--addr`; port 0 picks a free port).
-    pub addr: String,
-    /// Work-queue bound (`--queue-cap`); submitters block while full.
-    pub queue_cap: usize,
-    /// Cycles between streamed `run_progress` events
-    /// (`--progress-every`; 0 disables).
-    pub progress_every: u64,
-    /// Seconds between periodic `[serve: stats ...]` log lines
-    /// (`--stats-log-every`; 0 disables).
-    pub stats_log_every: u64,
-}
-
-impl Default for ServeArgs {
-    fn default() -> Self {
-        ServeArgs {
-            addr: "127.0.0.1:7878".into(),
-            queue_cap: 1024,
-            progress_every: 1_000_000,
-            stats_log_every: 60,
-        }
-    }
-}
-
 /// Arguments of the `report` subcommand.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReportArgs {
     /// Trace directory to aggregate (`--trace-dir`); the alternative
     /// source is the common `--store`.
     pub trace_dir: Option<PathBuf>,
-}
-
-/// Arguments of the `submit` subcommand.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SubmitArgs {
-    /// Server address (`--addr`).
-    pub addr: String,
-    /// Experiment ids to submit.
-    pub ids: Vec<String>,
-    /// Submit every experiment (`--all`).
-    pub all: bool,
-    /// Ask the server to stop (after any submitted batches)
-    /// (`--shutdown`).
-    pub shutdown: bool,
-}
-
-impl Default for SubmitArgs {
-    fn default() -> Self {
-        SubmitArgs {
-            addr: "127.0.0.1:7878".into(),
-            ids: Vec::new(),
-            all: false,
-            shutdown: false,
-        }
-    }
 }
 
 /// Which subcommand runs, with its arguments.
@@ -204,10 +143,6 @@ pub enum Command {
     Perf(PerfArgs),
     /// Deterministic simulation fuzzer.
     Fuzz(FuzzArgs),
-    /// Long-running job server.
-    Serve(ServeArgs),
-    /// Submit experiments to a job server.
-    Submit(SubmitArgs),
     /// Cycle-accounting report over a store or trace directory.
     Report(ReportArgs),
 }
@@ -240,8 +175,6 @@ commands (default: run)
   trace             telemetry smoke run (no tables)
   perf              simulator throughput benchmark
   fuzz              deterministic simulation fuzzer
-  serve             long-running job server (NDJSON over TCP)
-  submit            run experiments against an `exp serve` server
   report            cycle-accounting report (stall attribution, occupancy)
                     over a result store or trace directory
   exp <command> --help shows the command's own options
@@ -251,12 +184,10 @@ common options
   --scale SCALE     workload scale: tiny | small | large | full
                     (default small)
   --jobs N          worker threads for the run engine (default: all cores)
-  --sim-threads N   threads stepping the cores of each simulation
-                    (default 1; results are byte-identical at any value)
   --out-dir PATH    directory CSVs are written to (default: results/)
   --store PATH      persistent content-addressed result store: results
                     found there are never re-simulated, new results are
-                    saved there (run/serve/submit; perf accepts it only
+                    saved there (run, trace; perf accepts it only
                     with --replay, and then reads execution records only,
                     so throughput numbers stay honest)
   --replay MODE     record/replay: capture one functional execution per
@@ -301,8 +232,8 @@ const PERF_HELP: &str = "\
 usage: exp perf [options]
 
 simulator throughput benchmark: run the full E1..E11 batch, report
-per-simulation and wall-clock-aggregate cycles/sec, sweep one simulation
-across sim-thread counts, write BENCH_sim.json. Refuses --store unless
+per-simulation and wall-clock-aggregate cycles/sec, write
+BENCH_sim.json. Refuses --store unless
 --replay auto|force is given (a warm store would fake the throughput
 numbers); with replay, the store supplies execution records only —
 cached results are still never served.
@@ -310,11 +241,6 @@ cached results are still never served.
   --bench-out PATH  where the JSON report goes (default BENCH_sim.json)
   --baseline PATH   compare against a previous report; exit 1 on a >25%
                     per-simulation cycles/sec regression
-  --thread-sweep L  comma-separated sim-thread counts for the
-                    single-simulation sweep (default 1,2,4; `none`
-                    skips it)
-  --sweep-only      skip the E1..E11 batch and run only the thread sweep
-                    (useful at --scale large); no baseline gating
 
 Common options (exp --help) apply.";
 
@@ -338,29 +264,6 @@ documents the full format with an example.
 
 Common options (exp --help) apply.";
 
-const SERVE_HELP: &str = "\
-usage: exp serve [options]
-
-long-running job server: accepts NDJSON batches of run specs over TCP,
-executes them on a bounded queue over --jobs workers, streams per-run
-progress and results back, and serves --store hits instantly. Duplicate
-in-flight submissions coalesce onto one execution. Stops gracefully when
-a client sends shutdown (exp submit --shutdown).
-
-  --addr HOST:PORT   address to bind (default 127.0.0.1:7878; port 0
-                     picks a free port, printed on startup)
-  --queue-cap N      bound on the work queue; submitters block while it
-                     is full (default 1024)
-  --progress-every N cycles between streamed run_progress events
-                     (default 1000000; 0 disables)
-  --stats-log-every N seconds between periodic [serve: stats ...] log
-                     lines (default 60; 0 disables); the same snapshot
-                     is served on demand by the `stats` wire request
-
-Common options (exp --help) apply; --store gives the server persistence
-and --replay auto|force lets the shared engine serve policy variants by
-re-timing a captured execution record (reported as source=replayed).";
-
 const REPORT_HELP: &str = "\
 usage: exp report (--store PATH | --trace-dir PATH) [--json]
 
@@ -378,19 +281,6 @@ CTA policy of each run group. Re-checks the conservation identity
 
 Exactly one source is required. Common options (exp --help) apply.";
 
-const SUBMIT_HELP: &str = "\
-usage: exp submit [options] (--all | e1 e2 ... e11) [--shutdown]
-
-run experiments against an `exp serve` server: plan locally, submit the
-spec batch, stream progress, then build the same tables (byte-identical
-CSVs) from the returned results.
-
-  --addr HOST:PORT  server address (default 127.0.0.1:7878)
-  --shutdown        ask the server to stop (after any submitted batches;
-                    usable on its own too)
-
-Common options (exp --help) apply.";
-
 /// The general usage text (printed with usage errors).
 pub fn usage() -> &'static str {
     GENERAL_HELP
@@ -402,14 +292,12 @@ fn help_for(cmd: Option<&str>) -> &'static str {
         Some("trace") => TRACE_HELP,
         Some("perf") => PERF_HELP,
         Some("fuzz") => FUZZ_HELP,
-        Some("serve") => SERVE_HELP,
-        Some("submit") => SUBMIT_HELP,
         Some("report") => REPORT_HELP,
         _ => GENERAL_HELP,
     }
 }
 
-const SUBCOMMANDS: [&str; 7] = ["run", "trace", "perf", "fuzz", "serve", "submit", "report"];
+const SUBCOMMANDS: [&str; 5] = ["run", "trace", "perf", "fuzz", "report"];
 
 /// Parses the `--seeds A..B` window syntax.
 fn parse_seed_range(s: &str) -> Option<(u64, u64)> {
@@ -432,9 +320,6 @@ impl Cli {
         let mut sample_every: u64 = 1000;
         let mut perf = PerfArgs::default();
         let mut fuzz = FuzzArgs::default();
-        let mut serve = ServeArgs::default();
-        let mut addr: Option<String> = None;
-        let mut shutdown = false;
 
         let mut it = args.iter().peekable();
         while let Some(a) = it.next() {
@@ -453,14 +338,6 @@ impl Cli {
                         .filter(|&n| n > 0)
                         .ok_or("--jobs needs a positive integer")?;
                     common.jobs = Some(n);
-                }
-                "--sim-threads" => {
-                    let n = it
-                        .next()
-                        .and_then(|v| v.parse::<usize>().ok())
-                        .filter(|&n| n > 0)
-                        .ok_or("--sim-threads needs a positive integer")?;
-                    common.sim_threads = n;
                 }
                 "--out-dir" => {
                     common.out_dir = Some(it.next().ok_or("--out-dir needs a path")?.into());
@@ -492,21 +369,6 @@ impl Cli {
                 "--baseline" => {
                     perf.baseline = Some(it.next().ok_or("--baseline needs a path")?.into());
                 }
-                "--thread-sweep" => {
-                    let v = it
-                        .next()
-                        .ok_or("--thread-sweep needs a list like 1,2,4 (or none)")?;
-                    if v == "none" {
-                        perf.thread_sweep.clear();
-                    } else {
-                        perf.thread_sweep = v
-                            .split(',')
-                            .map(|s| s.parse::<usize>().ok().filter(|&n| n > 0))
-                            .collect::<Option<Vec<usize>>>()
-                            .ok_or("--thread-sweep needs positive integers like 1,2,4")?;
-                    }
-                }
-                "--sweep-only" => perf.sweep_only = true,
                 "--seeds" => {
                     fuzz.seeds = it
                         .next()
@@ -523,29 +385,6 @@ impl Cli {
                 "--repro" => {
                     fuzz.repro = Some(it.next().ok_or("--repro needs a reproducer file path")?.into());
                 }
-                "--addr" => {
-                    addr = Some(it.next().ok_or("--addr needs host:port")?.clone());
-                }
-                "--queue-cap" => {
-                    serve.queue_cap = it
-                        .next()
-                        .and_then(|v| v.parse::<usize>().ok())
-                        .filter(|&n| n > 0)
-                        .ok_or("--queue-cap needs a positive integer")?;
-                }
-                "--progress-every" => {
-                    serve.progress_every = it
-                        .next()
-                        .and_then(|v| v.parse::<u64>().ok())
-                        .ok_or("--progress-every needs a cycle count (0 disables)")?;
-                }
-                "--stats-log-every" => {
-                    serve.stats_log_every = it
-                        .next()
-                        .and_then(|v| v.parse::<u64>().ok())
-                        .ok_or("--stats-log-every needs a second count (0 disables)")?;
-                }
-                "--shutdown" => shutdown = true,
                 "--list" => {
                     let mut out = String::new();
                     for id in crate::experiments::all_ids() {
@@ -556,8 +395,8 @@ impl Cli {
                     return Ok(Parsed::Exit(out));
                 }
                 "--help" | "-h" => {
-                    // `exp --help serve` and `exp serve --help` both show
-                    // the serve section.
+                    // `exp --help fuzz` and `exp fuzz --help` both show
+                    // the fuzz section.
                     let later = it.find(|t| SUBCOMMANDS.contains(&t.as_str()));
                     return Ok(Parsed::Exit(
                         help_for(cmd.or(later.map(String::as_str))).to_string(),
@@ -574,8 +413,6 @@ impl Cli {
                         "trace" => "trace",
                         "perf" => "perf",
                         "fuzz" => "fuzz",
-                        "serve" => "serve",
-                        "submit" => "submit",
                         "report" => "report",
                         _ => unreachable!(),
                     });
@@ -593,14 +430,6 @@ impl Cli {
                 sample_every,
             }),
             "perf" => {
-                if perf.sweep_only {
-                    if perf.baseline.is_some() {
-                        return Err("--sweep-only runs no batch, so --baseline cannot gate".into());
-                    }
-                    if perf.thread_sweep.is_empty() {
-                        return Err("--sweep-only with --thread-sweep none would do nothing".into());
-                    }
-                }
                 if common.store_dir.is_some() && common.replay == ReplayMode::Off {
                     return Err(
                         "perf refuses --store without --replay auto|force: serving cached \
@@ -612,29 +441,6 @@ impl Cli {
                 Command::Perf(perf)
             }
             "fuzz" => Command::Fuzz(fuzz),
-            "serve" => {
-                if let Some(a) = addr {
-                    serve.addr = a;
-                }
-                Command::Serve(serve)
-            }
-            "submit" => {
-                if ids.is_empty() && !all && !shutdown {
-                    return Err(
-                        "submit needs --all, experiment ids, or --shutdown".into()
-                    );
-                }
-                let mut args = SubmitArgs {
-                    ids,
-                    all,
-                    shutdown,
-                    ..SubmitArgs::default()
-                };
-                if let Some(a) = addr {
-                    args.addr = a;
-                }
-                Command::Submit(args)
-            }
             "report" => {
                 if common.store_dir.is_some() == trace_dir.is_some() {
                     return Err(
@@ -690,16 +496,16 @@ mod tests {
     #[test]
     fn flag_position_is_irrelevant() {
         assert_eq!(
-            cli(&["--jobs", "2", "perf", "--sweep-only"]),
-            cli(&["perf", "--sweep-only", "--jobs", "2"])
+            cli(&["--jobs", "2", "perf", "--baseline", "b.json"]),
+            cli(&["perf", "--baseline", "b.json", "--jobs", "2"])
         );
     }
 
     #[test]
     fn per_command_help_is_selected() {
-        for args in [&["serve", "--help"][..], &["--help", "serve"][..]] {
+        for args in [&["fuzz", "--help"][..], &["--help", "fuzz"][..]] {
             match parse(args).expect("parses") {
-                Parsed::Exit(text) => assert!(text.contains("--queue-cap"), "for {args:?}"),
+                Parsed::Exit(text) => assert!(text.contains("--seeds"), "for {args:?}"),
                 other => panic!("expected help, got {other:?}"),
             }
         }
@@ -714,8 +520,6 @@ mod tests {
         assert!(parse(&["--jobs", "zero"]).is_err());
         assert!(parse(&["--nonsense"]).is_err());
         assert!(parse(&[]).is_err());
-        assert!(parse(&["submit"]).is_err());
-        assert!(parse(&["perf", "--sweep-only", "--baseline", "x.json"]).is_err());
     }
 
     #[test]
@@ -762,15 +566,8 @@ mod tests {
     }
 
     #[test]
-    fn store_and_serve_flags_parse() {
-        let c = cli(&["serve", "--store", "cache", "--addr", "127.0.0.1:0", "--queue-cap", "7"]);
+    fn store_flag_parses() {
+        let c = cli(&["--all", "--store", "cache"]);
         assert_eq!(c.common.store_dir.as_deref(), Some(std::path::Path::new("cache")));
-        match c.command {
-            Command::Serve(s) => {
-                assert_eq!(s.addr, "127.0.0.1:0");
-                assert_eq!(s.queue_cap, 7);
-            }
-            other => panic!("expected serve, got {other:?}"),
-        }
     }
 }

@@ -11,11 +11,9 @@
 //!   — are detected by content key and simulated once, within and across
 //!   experiments.
 //! * **Parallelism.** Unique specs fan out over [`parallel_map`] worker
-//!   threads. Each simulation is deterministic — including when it steps
-//!   its cores on multiple threads (`--sim-threads`, see
-//!   [`gpgpu_sim::set_sim_threads_default`]) — so results are
-//!   bit-identical to a serial run regardless of the worker count, the
-//!   per-simulation thread count, or completion order.
+//!   threads. Each simulation is single-threaded and deterministic, so
+//!   results are bit-identical to a serial run regardless of the worker
+//!   count or completion order.
 //!
 //! The intended shape is two-phase: experiments *plan* (contribute specs),
 //! the engine *executes* the combined batch, then experiments *collect*
@@ -266,7 +264,6 @@ pub struct RunEngine {
     store_hits: AtomicUsize,
     replayed: AtomicUsize,
     store: Option<Arc<crate::store::ResultStore>>,
-    progress: Option<ProgressHook>,
     replay: ReplayMode,
     /// In-memory execution records, keyed by the CTA-policy-independent
     /// content-key prefix (the replay-group key).
@@ -275,19 +272,6 @@ pub struct RunEngine {
     /// results — only execution records — so every measured run actually
     /// simulates. Results are still saved.
     use_cached_results: bool,
-}
-
-/// An observer of in-flight simulations: called from the worker thread
-/// running a spec, every `every_cycles` device cycles, with the run's
-/// key, current cycle, and instructions issued so far. Observation only —
-/// it cannot affect results (`exp serve` uses it to stream `run_progress`
-/// events to clients).
-#[derive(Clone)]
-pub struct ProgressHook {
-    /// Device-cycle interval between callbacks.
-    pub every_cycles: u64,
-    /// The callback itself.
-    pub callback: Arc<dyn Fn(&RunKey, u64, u64) + Send + Sync>,
 }
 
 /// Wall-clock profile of one executed run (one entry per simulation, in
@@ -330,9 +314,6 @@ pub struct EngineSummary {
     pub replayed: usize,
     /// Worker-thread count.
     pub jobs: usize,
-    /// Per-simulation core-stepping thread count (the process-wide
-    /// `--sim-threads` default at summary time).
-    pub sim_threads: usize,
     /// Total wall-clock nanoseconds across executed runs (summed over
     /// worker threads, so this can exceed elapsed time).
     pub wall_nanos: u64,
@@ -353,8 +334,7 @@ impl EngineSummary {
     /// time: each executed run contributes its own wall time once, no
     /// matter how many `--jobs` workers ran concurrently. This is the
     /// rate a single simulation progresses at (and what the perf gate
-    /// compares); it rises with `--sim-threads` but is independent of
-    /// batch-level `--jobs` parallelism.
+    /// compares); it is independent of batch-level `--jobs` parallelism.
     pub fn cycles_per_second(&self) -> f64 {
         if self.wall_nanos == 0 {
             0.0
@@ -382,7 +362,7 @@ impl EngineSummary {
     /// downstream consumers can gate on compatibility.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"schema_version\":\"{}\",\"executed\":{},\"deduped\":{},\"store_hits\":{},\"replayed\":{},\"requested\":{},\"jobs\":{},\"sim_threads\":{},\"wall_nanos\":{},\"sim_cycles\":{},\"sim_instructions\":{},\"cycles_per_second\":{:.1}}}",
+            "{{\"schema_version\":\"{}\",\"executed\":{},\"deduped\":{},\"store_hits\":{},\"replayed\":{},\"requested\":{},\"jobs\":{},\"wall_nanos\":{},\"sim_cycles\":{},\"sim_instructions\":{},\"cycles_per_second\":{:.1}}}",
             crate::codec::SCHEMA_VERSION,
             self.executed,
             self.deduped,
@@ -390,7 +370,6 @@ impl EngineSummary {
             self.replayed,
             self.requested(),
             self.jobs,
-            self.sim_threads,
             self.wall_nanos,
             self.sim_cycles,
             self.sim_instructions,
@@ -403,14 +382,13 @@ impl fmt::Display for EngineSummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "[{} runs requested: {} simulated, {} deduplicated, {} from store, {} replayed; {} worker threads x {} sim threads; {} Mcycles in {:.1}s worker time ({:.1} Mcycles/s per simulation)]",
+            "[{} runs requested: {} simulated, {} deduplicated, {} from store, {} replayed; {} worker threads; {} Mcycles in {:.1}s worker time ({:.1} Mcycles/s per simulation)]",
             self.requested(),
             self.executed,
             self.deduped,
             self.store_hits,
             self.replayed,
             self.jobs,
-            self.sim_threads,
             self.sim_cycles / 1_000_000,
             self.wall_nanos as f64 / 1e9,
             self.cycles_per_second() / 1e6
@@ -430,7 +408,6 @@ impl RunEngine {
             store_hits: AtomicUsize::new(0),
             replayed: AtomicUsize::new(0),
             store: None,
-            progress: None,
             replay: ReplayMode::default(),
             records: Mutex::new(HashMap::new()),
             use_cached_results: true,
@@ -471,25 +448,6 @@ impl RunEngine {
     /// The attached store, if any.
     pub fn store(&self) -> Option<&Arc<crate::store::ResultStore>> {
         self.store.as_ref()
-    }
-
-    /// Installs a [`ProgressHook`] observing in-flight simulations (used
-    /// by `exp serve` to stream per-run progress). Observation only:
-    /// results are byte-identical with or without a hook.
-    pub fn set_progress(&mut self, hook: ProgressHook) {
-        self.progress = Some(hook);
-    }
-
-    /// Adopts an externally produced result (e.g. one fetched from an
-    /// `exp serve` server) into the memo table, so collect phases can
-    /// tabulate it exactly as if this engine had simulated it. Counts as
-    /// neither executed nor deduplicated; later duplicates of the spec
-    /// dedup against it as usual.
-    pub fn seed_result(&self, spec: &RunSpec, result: Arc<RunResult>) {
-        self.memo
-            .lock()
-            .expect("not poisoned")
-            .insert(spec.key(), result);
     }
 
     /// Consults the attached store for `spec` (memo-miss path). On a hit
@@ -548,30 +506,6 @@ impl RunEngine {
         let rec = Arc::new(record);
         let mut cache = self.records.lock().expect("not poisoned");
         Arc::clone(cache.entry(prefix).or_insert(rec))
-    }
-
-    /// Runs `spec` with this engine's progress hook (if any) installed on
-    /// the current thread for the duration.
-    fn execute_observed(
-        &self,
-        key: &RunKey,
-        spec: &RunSpec,
-        mode: RunMode,
-    ) -> (RunResult, Option<ExecRecord>) {
-        match &self.progress {
-            None => execute_spec_mode(spec, mode),
-            Some(hook) => {
-                let key = key.clone();
-                let cb = Arc::clone(&hook.callback);
-                gpgpu_sim::set_thread_progress(
-                    hook.every_cycles,
-                    Arc::new(move |cycle, instructions| cb(&key, cycle, instructions)),
-                );
-                let result = execute_spec_mode(spec, mode);
-                gpgpu_sim::clear_thread_progress();
-                result
-            }
-        }
     }
 
     /// Executes every spec in `specs` that has not already been executed,
@@ -657,12 +591,12 @@ impl RunEngine {
         let jobs: Vec<_> = wave1
             .iter()
             .map(|(i, mode)| {
-                let (key, spec) = &fresh[*i];
+                let spec = &fresh[*i].1;
                 let mode = mode.clone();
                 move || {
                     let via_replay = matches!(mode, RunMode::Replay(_));
                     let t0 = Instant::now();
-                    let (result, record) = self.execute_observed(key, spec, mode);
+                    let (result, record) = execute_spec_mode(spec, mode);
                     let wall_nanos = t0.elapsed().as_nanos() as u64;
                     self.save_to_store(spec, &result, wall_nanos);
                     (result, record, wall_nanos, via_replay)
@@ -697,12 +631,12 @@ impl RunEngine {
         let jobs: Vec<_> = wave2
             .iter()
             .map(|(i, mode)| {
-                let (key, spec) = &fresh[*i];
+                let spec = &fresh[*i].1;
                 let mode = mode.clone();
                 move || {
                     let via_replay = matches!(mode, RunMode::Replay(_));
                     let t0 = Instant::now();
-                    let (result, _) = self.execute_observed(key, spec, mode);
+                    let (result, _) = execute_spec_mode(spec, mode);
                     let wall_nanos = t0.elapsed().as_nanos() as u64;
                     self.save_to_store(spec, &result, wall_nanos);
                     (result, wall_nanos, via_replay)
@@ -766,7 +700,7 @@ impl RunEngine {
         }
         let via_replay = matches!(mode, RunMode::Replay(_));
         let t0 = Instant::now();
-        let (result, record) = self.execute_observed(&key, spec, mode);
+        let (result, record) = execute_spec_mode(spec, mode);
         let result = Arc::new(result);
         let wall_nanos = t0.elapsed().as_nanos() as u64;
         if let (Some(rec), Some(p)) = (record, prefix) {
@@ -790,8 +724,8 @@ impl RunEngine {
 
     /// The result for `spec` if it can be served without simulating —
     /// from the memo table or the attached store — and `None` otherwise.
-    /// Unlike [`get`](Self::get) this never executes, so callers (e.g.
-    /// the job server) can classify a request as a hit before queueing it.
+    /// Unlike [`get`](Self::get) this never executes, so callers can
+    /// classify a request as a hit before planning work around it.
     pub fn lookup(&self, spec: &RunSpec) -> Option<Arc<RunResult>> {
         let key = spec.key();
         if let Some(r) = self.memo.lock().expect("not poisoned").get(&key) {
@@ -842,7 +776,6 @@ impl RunEngine {
             store_hits: self.runs_from_store(),
             replayed: self.runs_replayed(),
             jobs: self.jobs,
-            sim_threads: gpgpu_sim::sim_threads_default(),
             wall_nanos: profiles.iter().map(|p| p.wall_nanos).sum(),
             sim_cycles: profiles.iter().map(|p| p.cycles).sum(),
             sim_instructions: profiles.iter().map(|p| p.instructions).sum(),

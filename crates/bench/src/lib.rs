@@ -20,13 +20,11 @@ pub mod engine;
 pub mod experiments;
 pub mod json;
 pub mod report;
-pub mod service;
 pub mod simcheck;
 pub mod store;
 pub mod table;
 
 pub use engine::{EngineSummary, ReplayMode, RunEngine, RunKey, RunKind, RunProfile, RunResult, RunSpec};
-pub use service::ServerStats;
 pub use store::ResultStore;
 pub use table::Table;
 

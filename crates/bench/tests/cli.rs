@@ -66,11 +66,27 @@ fn missing_flag_values_are_rejected() {
     }
 }
 
+/// Invocations of features that no longer exist: parallel core stepping
+/// (`--sim-threads`, `perf --thread-sweep`) and the job server (`serve`,
+/// `submit`). Each is an unknown argument now, paired with the token the
+/// error must name.
+const REMOVED: &[(&[&str], &str)] = &[
+    (&["--sim-threads", "2", "e1"], "--sim-threads"),
+    (&["serve"], "serve"),
+    (&["submit", "--all"], "submit"),
+    (&["perf", "--thread-sweep", "1,2"], "--thread-sweep"),
+];
+
 #[test]
 fn unknown_argument_is_rejected() {
     let out = exp(&["--quick", "bogus"]);
     assert!(!out.status.success());
     assert!(stderr(&out).contains("bogus"));
+    for &(args, token) in REMOVED {
+        let out = exp(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} is a usage error");
+        assert!(stderr(&out).contains(token), "{args:?} names {token}");
+    }
 }
 
 #[test]
@@ -89,10 +105,11 @@ fn argument_errors_print_the_full_usage_text() {
         &["fuzz", "--repro"],
         &[],
     ];
-    for args in bad {
+    for args in bad.iter().copied().chain(REMOVED.iter().map(|&(a, _)| a)) {
         let out = exp(args);
-        assert!(!out.status.success(), "{args:?} must exit nonzero");
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit with the usage code");
         let err = stderr(&out);
+        assert!(!err.contains("panicked"), "{args:?} panicked: {err}");
         assert!(err.contains("error:"), "{args:?} reports an error: {err}");
         assert!(
             err.contains("usage: exp"),

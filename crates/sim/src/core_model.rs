@@ -9,17 +9,17 @@
 //! destination register until every coalesced line transaction returns
 //! from the memory hierarchy.
 //!
-//! A cycle is split in two phases: a core-local *compute* phase
-//! ([`Core::cycle_compute`]) that may run concurrently across cores, and a
-//! *merge* phase ([`Core::cycle_merge`]) the device runs in fixed core
-//! order to apply staged global-memory operations and fabric traffic. The
-//! split is a pure restructuring of the sequential loop — outputs are
-//! byte-identical at any `--sim-threads` count (see `device.rs` and
-//! `parallel.rs`).
+//! One cycle of a core is one call to [`Core::cycle`], which the device
+//! makes core by core in fixed order: the core takes its fabric
+//! responses, retires due writebacks, services the L1 port, issues, and
+//! forwards the L1's downstream traffic into the fabric. Global loads and
+//! stores read and write the shared functional memory at issue, in issue
+//! order, so within a cycle a lower-numbered core's memory effects are
+//! visible to every higher-numbered one.
 
 use crate::coalesce::{coalesce, shared_conflict_passes};
 use crate::config::GpuConfig;
-use crate::memory::{GlobalMem, GmemOp, SharedMem};
+use crate::memory::{GlobalMem, SharedMem};
 use crate::record::{ExecRecord, WarpTrace};
 use crate::sched_api::{
     CtaIssueSample, IssueView, KernelId, WarpMeta, WarpScheduler, WarpSchedulerFactory,
@@ -52,8 +52,8 @@ use std::sync::Arc;
 /// holds per core at all times (checked by
 /// [`conservation_violations`](crate::invariants::conservation_violations)),
 /// so `issued_slots + Σ stall_* ` covers every scheduler slot exactly
-/// once. All counters are strictly observational and byte-identical at
-/// any `--sim-threads` count with fast-forward on or off.
+/// once. All counters are strictly observational and byte-identical with
+/// fast-forward on or off.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoreStats {
     /// Instructions issued (warp-instructions, not lane-ops).
@@ -139,6 +139,8 @@ impl CoreStats {
 /// into a [`CtaCompleteEvent`](crate::sched_api::CtaCompleteEvent)).
 #[derive(Debug, Clone)]
 pub struct CoreCtaCompletion {
+    /// Core the CTA retired from.
+    pub core: usize,
     /// Kernel the CTA belonged to.
     pub kernel: KernelId,
     /// Global CTA id.
@@ -387,29 +389,6 @@ enum SlotStall {
     Barrier,
 }
 
-/// Per-cycle staging buffers between the core's *compute* phase and the
-/// device's *merge* phase.
-///
-/// The compute phase (`Core::cycle_compute`) is entirely core-local and
-/// can therefore run on a worker thread; everything that touches shared
-/// device state is deferred here and replayed by the merge phase
-/// (`Core::cycle_merge`) in fixed core order, reproducing the sequential
-/// loop's interleaving exactly. The same staging path runs at
-/// `--sim-threads 1`, so sequential/parallel identity is structural, not
-/// coincidental. Buffers are drained every cycle and keep their capacity,
-/// leaving the steady-state hot path allocation-free.
-#[derive(Debug, Default)]
-struct CoreStaging {
-    /// Fabric responses routed to this core, pre-drained by the device
-    /// before the compute phase starts (per-core crossbar output queues,
-    /// so pre-draining cannot reorder anything).
-    responses: Vec<MemResponse>,
-    /// Functional global-memory operations in issue order.
-    gmem_ops: Vec<GmemOp>,
-    /// CTAs that retired during the compute phase, in retirement order.
-    completions: Vec<CoreCtaCompletion>,
-}
-
 /// One streaming multiprocessor.
 pub struct Core {
     id: usize,
@@ -472,12 +451,10 @@ pub struct Core {
     /// for the current cycle; folded into the stall taxonomy at the end
     /// of the issue stage once the quiet verdict is known.
     scratch_outcomes: Vec<SlotStall>,
-    /// Compute-phase output buffers, drained by the merge phase.
-    staging: CoreStaging,
     /// Capture-mode trace buffers (`None` in direct/replay execution).
     capture: Option<CaptureState>,
     /// Replay-mode execution record (`None` in direct/capture execution).
-    /// Shared read-only across cores, so `--sim-threads` composes.
+    /// Shared read-only across cores.
     replay: Option<Arc<ExecRecord>>,
 }
 
@@ -542,7 +519,6 @@ impl Core {
             had_ready_warp: false,
             ready_sets: ReadySets::new(slots, cfg.num_sched_per_core as usize),
             scratch_outcomes: Vec::new(),
-            staging: CoreStaging::default(),
             capture: None,
             replay: None,
             cfg,
@@ -891,78 +867,25 @@ impl Core {
         self.stats.warp_resident_cycles += u64::from(self.used_warps) * cycles;
     }
 
-    /// Advances the core one cycle: the compute phase followed immediately
-    /// by this core's merge phase. Convenience for single-core callers
-    /// (unit tests); the device drives the two phases separately so the
-    /// compute phases of all cores can run concurrently.
+    /// Advances the core one cycle: handles the fabric responses routed
+    /// to it, retires due writebacks, services the L1 port, runs the
+    /// issue stage (global loads and stores hit `gmem` at issue, in issue
+    /// order), and forwards the L1's downstream traffic into the fabric.
+    /// CTAs that retire are appended to `retired` in retirement order.
     pub fn cycle(
         &mut self,
         now: Cycle,
         fabric: &mut MemFabric,
         gmem: &mut GlobalMem,
-    ) -> Vec<CoreCtaCompletion> {
-        self.cycle_compute(now);
-        self.cycle_merge(now, fabric, gmem);
-        self.staging.completions.drain(..).collect()
-    }
-
-    /// Queues a fabric response for [`cycle_compute`](Self::cycle_compute)
-    /// to handle (the device pre-drains per-core crossbar queues before
-    /// the compute phase so workers never touch the fabric).
-    pub(crate) fn stage_response(&mut self, resp: MemResponse) {
-        self.staging.responses.push(resp);
-    }
-
-    /// The core-local half of a cycle: staged responses, writebacks, the
-    /// L1 side of the load/store unit, and the issue stage. Touches no
-    /// shared device state — global-memory reads/writes and downstream
-    /// fabric traffic are staged for [`cycle_merge`](Self::cycle_merge) —
-    /// so the device may run this concurrently across cores.
-    pub(crate) fn cycle_compute(&mut self, now: Cycle) {
-        let mut resps = std::mem::take(&mut self.staging.responses);
-        for resp in resps.drain(..) {
+        retired: &mut Vec<CoreCtaCompletion>,
+    ) {
+        while let Some(resp) = fabric.pop_response(self.id) {
             self.handle_response(now, resp);
         }
-        self.staging.responses = resps;
         self.process_writebacks(now);
         self.pump_l1(now);
-        self.issue(now);
-    }
-
-    /// The shared-state half of a cycle, run by the device in fixed core
-    /// order: replays the staged functional global-memory operations (in
-    /// issue order) and forwards the L1's downstream traffic into the
-    /// fabric. Replaying in core order reproduces the sequential loop's
-    /// memory and fabric interleaving exactly — the determinism argument
-    /// for the parallel core loop rests on this ordering.
-    pub(crate) fn cycle_merge(&mut self, now: Cycle, fabric: &mut MemFabric, gmem: &mut GlobalMem) {
-        let mut ops = std::mem::take(&mut self.staging.gmem_ops);
-        for op in ops.drain(..) {
-            if op.is_store {
-                if op.touch_only {
-                    gmem.touch_store(&op);
-                } else {
-                    gmem.apply_store(&op);
-                }
-            } else {
-                let w = self.warps[op.warp]
-                    .as_mut()
-                    .expect("warp with a staged load is still resident");
-                for lane in 0..WARP_SIZE {
-                    if op.mask & (1 << lane) != 0 {
-                        w.regs[op.reg as usize][lane] = gmem.read_width(op.addrs[lane], op.width);
-                    }
-                }
-            }
-        }
-        self.staging.gmem_ops = ops;
+        self.issue(now, gmem, retired);
         self.forward_downstream(now, fabric);
-    }
-
-    /// Drains the CTAs that retired during the last compute phase, in
-    /// retirement order.
-    pub(crate) fn drain_completions(&mut self) -> std::vec::Drain<'_, CoreCtaCompletion> {
-        self.staging.completions.drain(..)
     }
 
     fn process_writebacks(&mut self, now: Cycle) {
@@ -1029,9 +952,9 @@ impl Core {
     }
 
     /// Drives the L1 side of the load/store unit. The downstream messages
-    /// an access produces stay queued inside the cache until the merge
-    /// phase forwards them ([`forward_downstream`](Self::forward_downstream)) —
-    /// the same cycle, exactly as the former combined pump did.
+    /// an access produces stay queued inside the cache until
+    /// [`forward_downstream`](Self::forward_downstream) runs at the end of
+    /// the same cycle.
     fn pump_l1(&mut self, now: Cycle) {
         // One L1 port: service the head transaction.
         if let Some(&txn) = self.lsq.front() {
@@ -1064,9 +987,7 @@ impl Core {
     }
 
     /// Forwards L1 downstream messages (fetches, write-throughs,
-    /// writebacks) into the fabric until it back-pressures. Runs in the
-    /// merge phase: the fabric is shared, so submissions must happen in
-    /// fixed core order.
+    /// writebacks) into the fabric until it back-pressures.
     fn forward_downstream(&mut self, now: Cycle, fabric: &mut MemFabric) {
         loop {
             if self.staged_downstream.is_none() {
@@ -1188,9 +1109,8 @@ impl Core {
 
     /// The per-scheduler issue stage. Steady-state cycles run entirely on
     /// persistent scratch buffers (candidate list, ready bitmask) — no
-    /// per-cycle allocation. CTA retirements land in the staging buffer
-    /// for the merge phase to drain.
-    fn issue(&mut self, now: Cycle) {
+    /// per-cycle allocation. CTA retirements are appended to `retired`.
+    fn issue(&mut self, now: Cycle, gmem: &mut GlobalMem, retired: &mut Vec<CoreCtaCompletion>) {
         let nsched = self.schedulers.len();
         let mut schedulers = std::mem::take(&mut self.schedulers);
         let mut candidates = std::mem::take(&mut self.scratch_candidates);
@@ -1266,17 +1186,17 @@ impl Core {
             // Issuing advances the warp's pc and scoreboard state: its
             // memoized verdict is stale.
             self.ready_sets.invalidate(slot);
-            if let Some(c) = self.execute_one(slot, now) {
-                self.staging.completions.push(c);
+            if let Some(c) = self.execute_one(slot, now, gmem) {
+                retired.push(c);
             }
         }
         // Cycle accounting. A quiet cycle — no ready warp and no memory
         // work in flight on this core — is exactly one the idle
         // fast-forward may skip (`quiet_wake`); booking it as
         // `stall_ff_idle` here, from core-local state only, keeps every
-        // counter byte-identical across fast-forward modes and thread
-        // counts. Non-quiet cycles book the per-partition attributions
-        // recorded during the scan.
+        // counter byte-identical across fast-forward modes. Non-quiet
+        // cycles book the per-partition attributions recorded during the
+        // scan.
         let quiet = !self.had_ready_warp
             && self.lsq.is_empty()
             && self.staged_downstream.is_none()
@@ -1342,11 +1262,15 @@ impl Core {
 
     /// Executes the next instruction of the warp in `slot` (readiness
     /// already verified). Returns a completion if this retired the warp's
-    /// CTA. Global-memory effects are staged, not applied — the merge
-    /// phase replays them in core order.
-    fn execute_one(&mut self, slot: usize, now: Cycle) -> Option<CoreCtaCompletion> {
+    /// CTA.
+    fn execute_one(
+        &mut self,
+        slot: usize,
+        now: Cycle,
+        gmem: &mut GlobalMem,
+    ) -> Option<CoreCtaCompletion> {
         if self.replay.is_some() {
-            return self.execute_one_replay(slot, now);
+            return self.execute_one_replay(slot, now, gmem);
         }
         let cfg = Arc::clone(&self.cfg);
         let Core {
@@ -1367,7 +1291,6 @@ impl Core {
             stats,
             issued_per_kernel,
             ready_sets,
-            staging,
             id: core_id,
             ..
         } = self;
@@ -1566,21 +1489,8 @@ impl Core {
                 }
                 match space {
                     MemSpace::Global => {
-                        // Stage the functional read for the merge phase.
-                        // The destination register stays scoreboard-pending
-                        // well past the merge, so nothing can observe it
-                        // before the staged read lands.
-                        if exec_mask != 0 {
-                            staging.gmem_ops.push(GmemOp {
-                                is_store: false,
-                                touch_only: false,
-                                warp: slot,
-                                reg: dst.0,
-                                width,
-                                addrs,
-                                values: [0; WARP_SIZE],
-                                mask: exec_mask,
-                            });
+                        for lane in lanes(exec_mask) {
+                            w.regs[dst.0 as usize][lane] = gmem.read_width(addrs[lane], width);
                         }
                         let lines = coalesce(
                             &addrs,
@@ -1654,24 +1564,8 @@ impl Core {
                 }
                 match space {
                     MemSpace::Global => {
-                        // Stage the functional write with lane values
-                        // captured now (registers are warp-private, so
-                        // they cannot change before the merge applies it).
-                        if exec_mask != 0 {
-                            let mut values = [0u64; WARP_SIZE];
-                            for lane in lanes(exec_mask) {
-                                values[lane] = read(w, src, lane);
-                            }
-                            staging.gmem_ops.push(GmemOp {
-                                is_store: true,
-                                touch_only: false,
-                                warp: slot,
-                                reg: 0,
-                                width,
-                                addrs,
-                                values,
-                                mask: exec_mask,
-                            });
+                        for lane in lanes(exec_mask) {
+                            gmem.write_width(addrs[lane], read(w, src, lane), width);
                         }
                         let lines = coalesce(
                             &addrs,
@@ -1736,7 +1630,12 @@ impl Core {
     /// the record. The warp retires when its cursor reaches the end of
     /// its trace, which is exactly the issue after which the direct run
     /// retired it.
-    fn execute_one_replay(&mut self, slot: usize, now: Cycle) -> Option<CoreCtaCompletion> {
+    fn execute_one_replay(
+        &mut self,
+        slot: usize,
+        now: Cycle,
+        gmem: &mut GlobalMem,
+    ) -> Option<CoreCtaCompletion> {
         let cfg = Arc::clone(&self.cfg);
         let rec = Arc::clone(self.replay.as_ref().expect("replay record installed"));
         let Core {
@@ -1756,7 +1655,6 @@ impl Core {
             stats,
             issued_per_kernel,
             ready_sets,
-            staging,
             id: core_id,
             ..
         } = self;
@@ -1892,21 +1790,10 @@ impl Core {
             Instr::St { space, width, .. } => match space {
                 MemSpace::Global => {
                     // Replay never writes data, but page materialization is
-                    // a telemetry observable (`gmem_pages`): stage a
-                    // touch-only store so the merge phase allocates the
-                    // same pages on the same cycle as direct execution.
-                    if exec_mask != 0 {
-                        staging.gmem_ops.push(GmemOp {
-                            is_store: true,
-                            touch_only: true,
-                            warp: slot,
-                            reg: 0,
-                            width,
-                            addrs: *addrs,
-                            values: [0; WARP_SIZE],
-                            mask: exec_mask,
-                        });
-                    }
+                    // a telemetry observable (`gmem_pages`): touch the
+                    // store's pages so they materialize on the same cycle
+                    // as in direct execution.
+                    gmem.touch_store(addrs, exec_mask, width);
                     let lines =
                         coalesce(addrs, exec_mask, width.bytes(), u64::from(cfg.l1.line_bytes));
                     stats.gmem_transactions += lines.len() as u64;
@@ -2003,6 +1890,7 @@ impl Core {
         self.stats.ctas_completed += 1;
         self.completed_per_kernel[kernel.0] += 1;
         Some(CoreCtaCompletion {
+            core: self.id,
             kernel,
             cta_id: cta.cta_id,
             completed_on_core: self.completed_per_kernel[kernel.0],
@@ -2114,10 +2002,7 @@ mod tests {
     ) -> (u64, Vec<CoreCtaCompletion>) {
         let mut completions = Vec::new();
         for now in 0..max_cycles {
-            while let Some(r) = fabric.pop_response(0) {
-                core.handle_response(now, r);
-            }
-            completions.extend(core.cycle(now, fabric, gmem));
+            core.cycle(now, fabric, gmem, &mut completions);
             fabric.tick(now);
             if core.is_idle() && fabric.quiesced() {
                 return (now, completions);

@@ -4,7 +4,6 @@
 use crate::config::GpuConfig;
 use crate::core_model::Core;
 use crate::memory::GlobalMem;
-use crate::parallel::{worker_loop, ComputePool, CoreAccess, CoreCell};
 use crate::record::{CtaRecord, ExecRecord, KernelRecord, WarpTrace};
 use crate::sched_api::{
     CoreDispatchInfo, CtaCompleteEvent, CtaScheduler, DispatchView, KernelId, KernelSummary,
@@ -16,7 +15,7 @@ use gpgpu_isa::KernelDescriptor;
 use gpgpu_mem::{Cycle, MemFabric};
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Process-wide default for the idle fast-forward optimization (see
@@ -30,58 +29,11 @@ pub fn set_fast_forward_default(enabled: bool) {
     FAST_FORWARD_DEFAULT.store(enabled, Ordering::Relaxed);
 }
 
-/// Process-wide default for the number of simulation threads (see
-/// [`GpuDevice::set_sim_threads`]). `1` (the default) is the sequential
-/// path; results are byte-identical at any value.
-static SIM_THREADS_DEFAULT: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the process-wide default thread count for stepping cores inside
-/// [`GpuDevice::run`]. Devices read the default at construction;
-/// already-built devices are unaffected. Values are clamped to at least 1
-/// (and, per run, to the device's core count).
-pub fn set_sim_threads_default(n: usize) {
-    SIM_THREADS_DEFAULT.store(n.max(1), Ordering::Relaxed);
-}
-
-/// The current process-wide simulation thread-count default (for
-/// reporting; see [`set_sim_threads_default`]).
-pub fn sim_threads_default() -> usize {
-    SIM_THREADS_DEFAULT.load(Ordering::Relaxed)
-}
-
-/// Observer invoked periodically from the main loop with
-/// `(current_cycle, instructions_issued_so_far)`. Purely observational:
-/// simulation outputs are byte-identical with or without a hook attached.
-pub type ProgressCallback = Arc<dyn Fn(u64, u64) + Send + Sync>;
-
-thread_local! {
-    /// Per-thread progress hook read by [`GpuDevice::new`]. Thread-local
-    /// (rather than a constructor parameter) because devices are built
-    /// deep inside workload runners; a driver sets the hook on its worker
-    /// thread around the run and clears it afterwards.
-    static THREAD_PROGRESS: std::cell::RefCell<Option<(u64, ProgressCallback)>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// Arms a progress hook for devices subsequently built on *this thread*:
-/// every `every` cycles (clamped to at least 1) the callback receives the
-/// current cycle and cumulative issued-instruction count. Cleared with
-/// [`clear_thread_progress`]; already-built devices are unaffected.
-pub fn set_thread_progress(every: u64, cb: ProgressCallback) {
-    THREAD_PROGRESS.with(|p| *p.borrow_mut() = Some((every.max(1), cb)));
-}
-
-/// Disarms the hook set by [`set_thread_progress`] on this thread.
-pub fn clear_thread_progress() {
-    THREAD_PROGRESS.with(|p| *p.borrow_mut() = None);
-}
-
-/// Periodic progress observer attached to a device at construction.
-struct ProgressMeter {
-    every: u64,
-    next: Cycle,
-    cb: ProgressCallback,
-}
+/// Does nothing. The simulator steps its cores on one thread; this
+/// name stays only because the benchmark driver in `perfbench/` still
+/// calls `set_sim_threads_default(1)`.
+#[doc(hidden)]
+pub fn set_sim_threads_default(_n: usize) {}
 
 /// Why a run failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -147,7 +99,7 @@ struct KernelState {
 ///    and memory.
 pub struct GpuDevice {
     cfg: Arc<GpuConfig>,
-    cores: Vec<CoreCell>,
+    cores: Vec<Core>,
     fabric: MemFabric,
     gmem: GlobalMem,
     kernels: Vec<KernelState>,
@@ -173,15 +125,9 @@ pub struct GpuDevice {
     malformed_dispatches: u64,
     /// Idle fast-forward enabled (see [`set_fast_forward`](Self::set_fast_forward)).
     fast_forward: bool,
-    /// Threads used to step cores inside [`run`](Self::run) (see
-    /// [`set_sim_threads`](Self::set_sim_threads)).
-    sim_threads: usize,
     /// Attached telemetry; `None` (the default) keeps every hook a single
     /// branch on the fast path.
     telemetry: Option<Telemetry>,
-    /// Periodic progress observer (see [`set_thread_progress`]); `None`
-    /// keeps the main loop's cost to one branch.
-    progress: Option<ProgressMeter>,
 }
 
 impl fmt::Debug for GpuDevice {
@@ -208,7 +154,7 @@ impl GpuDevice {
         cfg.validate();
         let cfg = Arc::new(cfg);
         let cores = (0..cfg.num_cores)
-            .map(|i| CoreCell::new(Core::new(i, Arc::clone(&cfg), warp_sched)))
+            .map(|i| Core::new(i, Arc::clone(&cfg), warp_sched))
             .collect();
         let fabric = MemFabric::new(cfg.fabric.clone());
         GpuDevice {
@@ -226,31 +172,9 @@ impl GpuDevice {
             dispatch_dirty: false,
             malformed_dispatches: 0,
             fast_forward: FAST_FORWARD_DEFAULT.load(Ordering::Relaxed),
-            sim_threads: SIM_THREADS_DEFAULT.load(Ordering::Relaxed),
             telemetry: None,
-            progress: THREAD_PROGRESS.with(|p| {
-                p.borrow().as_ref().map(|(every, cb)| ProgressMeter {
-                    every: *every,
-                    next: *every,
-                    cb: Arc::clone(cb),
-                })
-            }),
             cfg,
         }
-    }
-
-    /// Sets the number of threads [`run`](Self::run) uses to step cores
-    /// (clamped to at least 1; each run further clamps to the core count).
-    /// All outputs — statistics, memory contents, telemetry — are
-    /// byte-identical at any value; `1` keeps the lock-free sequential
-    /// path.
-    pub fn set_sim_threads(&mut self, n: usize) {
-        self.sim_threads = n.max(1);
-    }
-
-    /// The configured simulation thread count.
-    pub fn sim_threads(&self) -> usize {
-        self.sim_threads
     }
 
     /// Enables or disables the idle fast-forward for this device. When
@@ -269,21 +193,20 @@ impl GpuDevice {
     /// [`take_record`](Self::take_record) after [`run`](Self::run).
     pub fn set_capture(&mut self, on: bool) {
         for c in &mut self.cores {
-            c.get_mut().set_capture(on);
+            c.set_capture(on);
         }
     }
 
     /// Switches the device into timing-replay mode, driven by `record`
     /// (see [`crate::record`]). Kernels must be launched in the same
-    /// order as the capture run; any CTA policy, warp policy, and
-    /// `--sim-threads` value may differ. In replay, global memory is
-    /// never read or written by kernels, so workload output verification
-    /// must be skipped — the record's
+    /// order as the capture run; the CTA and warp policies may differ. In
+    /// replay, global memory is never read or written by kernels, so
+    /// workload output verification must be skipped — the record's
     /// [`mem_hash`](ExecRecord::mem_hash) stands in for the final memory
     /// contents. Install before launching kernels.
     pub fn set_replay(&mut self, record: Arc<ExecRecord>) {
         for c in &mut self.cores {
-            c.get_mut().set_replay(Some(Arc::clone(&record)));
+            c.set_replay(Some(Arc::clone(&record)));
         }
     }
 
@@ -314,7 +237,7 @@ impl GpuDevice {
             .collect();
         let mut any = false;
         for c in &mut self.cores {
-            for cw in c.get_mut().take_captured() {
+            for cw in c.take_captured() {
                 any = true;
                 kernels[cw.kernel].ctas[cw.cta_id as usize].warps[cw.warp_in_cta as usize] =
                     cw.trace;
@@ -347,12 +270,7 @@ impl GpuDevice {
     /// attached.
     pub fn take_telemetry(&mut self) -> Option<Box<dyn TraceSink>> {
         let mut t = self.telemetry.take()?;
-        t.final_sample(
-            self.now,
-            &mut CoreAccess::Excl(&mut self.cores),
-            &self.fabric,
-            self.gmem.resident_pages(),
-        );
+        t.final_sample(self.now, &self.cores, &self.fabric, self.gmem.resident_pages());
         if let Some(cs) = self.cta_sched.as_mut() {
             if t.events_enabled() {
                 for d in cs.take_trace_events() {
@@ -456,7 +374,7 @@ impl GpuDevice {
         self.kernels.iter().all(|k| k.phase == KernelPhase::Done)
     }
 
-    fn activate_pending(&mut self, cores: &mut CoreAccess<'_>) {
+    fn activate_pending(&mut self) {
         if self.pending_kernels == 0 {
             return;
         }
@@ -481,8 +399,8 @@ impl GpuDevice {
                 .enumerate()
                 .any(|(j, k)| j != i && k.phase == KernelPhase::Running);
             if self.cfg.flush_l1_on_kernel_launch && !any_other_running {
-                for c in 0..cores.len() {
-                    cores.get(c).flush_l1();
+                for c in &mut self.cores {
+                    c.flush_l1();
                 }
                 self.fabric.flush_l2();
             }
@@ -518,29 +436,23 @@ impl GpuDevice {
             .collect()
     }
 
-    fn core_dispatch_infos(
-        &self,
-        cores: &mut CoreAccess<'_>,
-        kernels: &[KernelSummary],
-    ) -> Vec<CoreDispatchInfo> {
-        (0..cores.len())
-            .map(|i| {
-                let core = cores.get(i);
-                CoreDispatchInfo {
-                    cta_count: core.active_cta_count(),
-                    kernel_ctas: kernels
-                        .iter()
-                        .map(|k| (k.id, core.cta_count_of(k.id)))
-                        .collect(),
-                    capacity: kernels
-                        .iter()
-                        .map(|k| (k.id, core.capacity_for(&self.kernels[k.id.0].desc)))
-                        .collect(),
-                    completed: kernels
-                        .iter()
-                        .map(|k| (k.id, core.completed_of(k.id)))
-                        .collect(),
-                }
+    fn core_dispatch_infos(&self, kernels: &[KernelSummary]) -> Vec<CoreDispatchInfo> {
+        self.cores
+            .iter()
+            .map(|core| CoreDispatchInfo {
+                cta_count: core.active_cta_count(),
+                kernel_ctas: kernels
+                    .iter()
+                    .map(|k| (k.id, core.cta_count_of(k.id)))
+                    .collect(),
+                capacity: kernels
+                    .iter()
+                    .map(|k| (k.id, core.capacity_for(&self.kernels[k.id.0].desc)))
+                    .collect(),
+                completed: kernels
+                    .iter()
+                    .map(|k| (k.id, core.completed_of(k.id)))
+                    .collect(),
             })
             .collect()
     }
@@ -552,25 +464,26 @@ impl GpuDevice {
     /// activation, CTA completion, or a prior round that dispatched or
     /// stopped early). A steady-state cycle therefore never rebuilds the
     /// [`KernelSummary`]/[`CoreDispatchInfo`] views.
-    fn dispatch_ctas(&mut self, cores: &mut CoreAccess<'_>) {
+    fn dispatch_ctas(&mut self) {
         if !self.dispatch_dirty {
             return;
         }
         self.dispatch_dirty = false;
         let mut cta_sched = self.cta_sched.take().expect("scheduler present");
         // Bounded by total CTA slots to guard against a policy that loops.
-        let max_rounds = cores.len() * self.cfg.max_ctas_per_core as usize + 1;
+        let ncores = self.cores.len();
+        let max_rounds = ncores * self.cfg.max_ctas_per_core as usize + 1;
         for _ in 0..max_rounds {
             let kernels = self.kernel_summaries();
             if kernels.is_empty() {
                 break;
             }
-            let infos = self.core_dispatch_infos(cores, &kernels);
+            let infos = self.core_dispatch_infos(&kernels);
             let view = DispatchView::new(self.now, &kernels, &infos);
             let Some(d) = cta_sched.select(&view) else {
                 break;
             };
-            if d.core >= cores.len() || d.count == 0 {
+            if d.core >= ncores || d.count == 0 {
                 // Malformed decision: discard, count, and re-consult next
                 // cycle (the ungated loop would have).
                 self.malformed_dispatches += 1;
@@ -579,7 +492,7 @@ impl GpuDevice {
                     false,
                     "malformed CTA dispatch: core {} (of {}), count {}",
                     d.core,
-                    cores.len(),
+                    ncores,
                     d.count
                 );
                 break;
@@ -595,7 +508,7 @@ impl GpuDevice {
                 break;
             };
             let state = &self.kernels[d.kernel.0];
-            let capacity = cores.get(d.core).capacity_for(&state.desc);
+            let capacity = self.cores[d.core].capacity_for(&state.desc);
             let count = d.count.min(capacity).min(ks.remaining as u32);
             if count == 0 {
                 // Does not fit right now; core occupancy may change, so
@@ -607,11 +520,8 @@ impl GpuDevice {
             if self.telemetry.as_ref().is_some_and(Telemetry::events_enabled) {
                 // Co-schedule admission: this dispatch brings `d.kernel`
                 // onto a core already hosting a different kernel's CTAs.
-                let target = cores.get(d.core);
-                let admit =
-                    target.cta_count_of(d.kernel) == 0 && target.active_cta_count() > 0;
-                drop(target);
-                if admit {
+                let target = &self.cores[d.core];
+                if target.cta_count_of(d.kernel) == 0 && target.active_cta_count() > 0 {
                     let ev = TraceEvent::CkeAdmit {
                         cycle: self.now,
                         kernel: d.kernel,
@@ -623,9 +533,7 @@ impl GpuDevice {
             for _ in 0..count {
                 let cta = self.kernels[d.kernel.0].next_cta;
                 self.kernels[d.kernel.0].next_cta += 1;
-                cores
-                    .get(d.core)
-                    .dispatch_cta(d.kernel, cta, &desc, &mut self.age_counter);
+                self.cores[d.core].dispatch_cta(d.kernel, cta, &desc, &mut self.age_counter);
                 if let Some(t) = self.telemetry.as_mut() {
                     t.record(TraceEvent::CtaDispatch {
                         cycle: self.now,
@@ -642,60 +550,17 @@ impl GpuDevice {
         self.cta_sched = Some(cta_sched);
     }
 
-    /// Advances the device one cycle (always on the sequential path;
-    /// [`run`](Self::run) is the entry point that steps cores in
-    /// parallel).
+    /// Advances the device one cycle: kernel activation and CTA dispatch,
+    /// then every core's [`Core::cycle`] in core order, then the memory
+    /// fabric's tick, then completion accounting and telemetry.
     pub fn step(&mut self) {
-        let mut cores = std::mem::take(&mut self.cores);
-        self.step_with(&mut CoreAccess::Excl(&mut cores), None);
-        self.cores = cores;
-    }
-
-    /// One cycle over whatever core access mode the caller holds.
-    ///
-    /// The cycle is a fork/join: a *compute* phase steps every core's
-    /// private state (concurrently when `pool` is given, in a plain loop
-    /// otherwise — the phases and their order are identical either way),
-    /// then a *merge* phase drains each core's staged effects into the
-    /// shared memory system in fixed core order. Because the compute
-    /// phase touches no shared state, the merge reproduces exactly the
-    /// interleaving the historical one-core-at-a-time loop produced, so
-    /// outputs are byte-identical at any thread count.
-    fn step_with(&mut self, cores: &mut CoreAccess<'_>, pool: Option<&ComputePool>) {
-        self.activate_pending(cores);
-        self.dispatch_ctas(cores);
+        self.activate_pending();
+        self.dispatch_ctas();
 
         let now = self.now;
-        // Prologue: hand every core the responses that arrived for it.
-        // The fabric keeps per-core output queues and refills them only in
-        // `tick` below, so draining them all up front hands each core the
-        // same responses the historical interleaved loop did.
-        for i in 0..cores.len() {
-            let mut core = cores.get(i);
-            while let Some(resp) = self.fabric.pop_response(core.id()) {
-                core.stage_response(resp);
-            }
-        }
-
-        // Fork: compute phase, core-private by construction.
-        match pool {
-            None => {
-                for i in 0..cores.len() {
-                    cores.get(i).cycle_compute(now);
-                }
-            }
-            Some(p) => p.run_phase(now, cores.shared().expect("parallel runs share cores")),
-        }
-
-        // Join: merge staged effects in fixed core order.
         let mut completions = Vec::new();
-        for i in 0..cores.len() {
-            let mut core = cores.get(i);
-            core.cycle_merge(now, &mut self.fabric, &mut self.gmem);
-            let id = core.id();
-            for c in core.drain_completions() {
-                completions.push((id, c));
-            }
+        for core in &mut self.cores {
+            core.cycle(now, &mut self.fabric, &mut self.gmem, &mut completions);
         }
         self.fabric.tick(now);
 
@@ -704,9 +569,9 @@ impl GpuDevice {
             self.dispatch_dirty = true;
         }
         let mut cta_sched = self.cta_sched.take().expect("scheduler present");
-        for (core, c) in completions {
+        for c in completions {
             let ev = CtaCompleteEvent {
-                core,
+                core: c.core,
                 kernel: c.kernel,
                 cta_id: c.cta_id,
                 cycle: now,
@@ -720,7 +585,7 @@ impl GpuDevice {
                     cycle: now,
                     kernel: c.kernel,
                     cta: c.cta_id,
-                    core,
+                    core: c.core,
                 });
             }
             let k = &mut self.kernels[c.kernel.0];
@@ -731,10 +596,7 @@ impl GpuDevice {
                 cta_sched.on_kernel_finish(c.kernel);
                 if self.telemetry.as_ref().is_some_and(Telemetry::events_enabled) {
                     let start = self.kernels[c.kernel.0].start_cycle;
-                    let mut instructions = 0u64;
-                    for i in 0..cores.len() {
-                        instructions += cores.get(i).issued_of(c.kernel);
-                    }
+                    let instructions = self.cores.iter().map(|x| x.issued_of(c.kernel)).sum();
                     self.telemetry
                         .as_mut()
                         .expect("checked above")
@@ -765,16 +627,11 @@ impl GpuDevice {
         self.cta_sched = Some(cta_sched);
         self.now += 1;
         if let Some(t) = self.telemetry.as_mut() {
-            t.maybe_sample(self.now, cores, &self.fabric, self.gmem.resident_pages());
+            t.maybe_sample(self.now, &self.cores, &self.fabric, self.gmem.resident_pages());
         }
     }
 
     /// Runs until every launched kernel completes.
-    ///
-    /// With [`set_sim_threads`](Self::set_sim_threads) above 1, cores are
-    /// stepped by a scoped worker pool for the duration of this call; the
-    /// pool is joined before returning, and all outputs are byte-identical
-    /// to the sequential path.
     ///
     /// # Errors
     ///
@@ -782,59 +639,21 @@ impl GpuDevice {
     /// [`SimError::Deadlock`] if nothing makes progress for the configured
     /// deadlock window.
     pub fn run(&mut self, max_cycles: u64) -> Result<(), SimError> {
-        let threads = self.sim_threads.min(self.cores.len()).max(1);
-        let mut cores = std::mem::take(&mut self.cores);
-        let result = if threads > 1 {
-            let pool = ComputePool::new(threads);
-            let shared: &[CoreCell] = &cores;
-            std::thread::scope(|s| {
-                for w in 1..threads {
-                    let pool = &pool;
-                    s.spawn(move || worker_loop(pool, shared, w));
-                }
-                let r = self.run_loop(&mut CoreAccess::Shared(shared), Some(&pool), max_cycles);
-                pool.shutdown();
-                r
-            })
-        } else {
-            self.run_loop(&mut CoreAccess::Excl(&mut cores), None, max_cycles)
-        };
-        self.cores = cores;
-        result
-    }
-
-    fn run_loop(
-        &mut self,
-        cores: &mut CoreAccess<'_>,
-        pool: Option<&ComputePool>,
-        max_cycles: u64,
-    ) -> Result<(), SimError> {
         let limit = self.now + max_cycles;
         while !self.all_done() {
             if self.now >= limit {
                 return Err(SimError::MaxCyclesExceeded { limit: max_cycles });
             }
-            self.step_with(cores, pool);
+            self.step();
             // Progress detection: any issued instruction counts.
-            let mut issued = 0u64;
-            for i in 0..cores.len() {
-                issued += cores.get(i).stats().issued;
-            }
+            let issued: u64 = self.cores.iter().map(|c| c.stats().issued).sum();
             if issued != self.last_issued_total {
                 self.last_issued_total = issued;
                 self.last_progress = self.now;
             } else if self.now - self.last_progress > self.cfg.deadlock_cycles {
                 return Err(SimError::Deadlock { at: self.now });
             } else if self.fast_forward {
-                self.fast_forward_idle(cores, limit);
-            }
-            // Observation only: a fast-forward jump past several periods
-            // fires once here rather than once per period.
-            if let Some(p) = self.progress.as_mut() {
-                if self.now >= p.next {
-                    (p.cb)(self.now, self.last_issued_total);
-                    p.next = self.now.saturating_add(p.every);
-                }
+                self.fast_forward_idle(limit);
             }
         }
         Ok(())
@@ -852,11 +671,7 @@ impl GpuDevice {
     /// writeback wheel's next drain and the shared-pipe release (via
     /// [`Core::quiet_wake`]), the fabric's next event, the telemetry
     /// sample edge, the cycle budget, and the deadlock window.
-    ///
-    /// Runs entirely on the calling thread even inside a parallel run:
-    /// the worker pool is never signaled during a quiet span, so skipping
-    /// idle cycles carries none of the fork/join synchronization cost.
-    fn fast_forward_idle(&mut self, cores: &mut CoreAccess<'_>, limit: Cycle) {
+    fn fast_forward_idle(&mut self, limit: Cycle) {
         if self.dispatch_dirty {
             return; // CTA dispatch may act next cycle
         }
@@ -864,8 +679,8 @@ impl GpuDevice {
         // Deadlock detection must trip on the same cycle it would have:
         // step through the last cycle of the quiet window ourselves.
         let mut target = limit.min(self.last_progress + self.cfg.deadlock_cycles);
-        for i in 0..cores.len() {
-            match cores.get(i).quiet_wake(now) {
+        for c in &mut self.cores {
+            match c.quiet_wake(now) {
                 None => return,
                 Some(w) => target = target.min(w),
             }
@@ -882,18 +697,17 @@ impl GpuDevice {
             return;
         }
         let skipped = target - now;
-        for i in 0..cores.len() {
-            cores.get(i).account_skipped(skipped);
+        for c in &mut self.cores {
+            c.account_skipped(skipped);
         }
         self.now = target;
     }
 
-    /// Snapshot of run statistics. Cold path: takes each core's (always
-    /// uncontended outside [`run`](Self::run)) lock.
+    /// Snapshot of run statistics.
     pub fn stats(&self) -> SimStats {
         let mut l1 = gpgpu_mem::CacheStats::default();
         for c in &self.cores {
-            l1.merge(c.lock().l1_stats());
+            l1.merge(c.l1_stats());
         }
         let kernels = self
             .kernels
@@ -907,7 +721,7 @@ impl GpuDevice {
                 instructions: self
                     .cores
                     .iter()
-                    .map(|c| c.lock().issued_of(KernelId(i)))
+                    .map(|c| c.issued_of(KernelId(i)))
                     .sum(),
                 ctas: k.desc.cta_count(),
                 started: k.phase != KernelPhase::Pending,
@@ -916,11 +730,11 @@ impl GpuDevice {
             .collect();
         SimStats {
             cycles: self.now,
-            instructions: self.cores.iter().map(|c| c.lock().stats().issued).sum(),
+            instructions: self.cores.iter().map(|c| c.stats().issued).sum(),
             kernels,
             l1,
             fabric: self.fabric.stats(),
-            cores: self.cores.iter().map(|c| c.lock().stats().clone()).collect(),
+            cores: self.cores.iter().map(|c| c.stats().clone()).collect(),
             malformed_dispatches: self.malformed_dispatches,
         }
     }

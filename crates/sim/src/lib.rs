@@ -35,7 +35,6 @@ pub mod core_model;
 mod device;
 pub mod invariants;
 mod memory;
-mod parallel;
 pub mod record;
 pub mod sched_api;
 pub mod simt;
@@ -44,10 +43,7 @@ pub mod telemetry;
 
 pub use config::GpuConfig;
 pub use core_model::{Core, CoreCtaCompletion, CoreStats};
-pub use device::{
-    clear_thread_progress, set_fast_forward_default, set_sim_threads_default, set_thread_progress,
-    sim_threads_default, ProgressCallback, GpuDevice, SimError,
-};
+pub use device::{set_fast_forward_default, set_sim_threads_default, GpuDevice, SimError};
 pub use invariants::{assert_conservation, conservation_violations};
 pub use memory::{GlobalMem, SharedMem};
 pub use record::{CtaRecord, ExecRecord, KernelRecord, TraceStep, WarpTrace};

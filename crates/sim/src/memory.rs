@@ -246,73 +246,27 @@ impl GlobalMem {
         }
     }
 
-    /// Applies one staged store in lane order (see [`GmemOp`]).
-    pub(crate) fn apply_store(&mut self, op: &GmemOp) {
-        for lane in 0..WARP_SIZE {
-            if op.mask & (1 << lane) != 0 {
-                self.write_width(op.addrs[lane], op.values[lane], op.width);
-            }
-        }
-    }
-
-    /// Materializes (without modifying) every page the store would write:
-    /// replay's stand-in for [`GlobalMem::apply_store`], keeping
-    /// `resident_pages` — a telemetry observable — on the same trajectory
-    /// as direct execution while leaving contents untouched (pages start
-    /// zeroed, and [`GlobalMem::content_hash`] skips all-zero pages).
-    pub(crate) fn touch_store(&mut self, op: &GmemOp) {
-        let bytes = match op.width {
+    /// Materializes (without modifying) every page a store to `addrs`
+    /// under `mask` would write: replay's stand-in for the store itself,
+    /// keeping `resident_pages` — a telemetry observable — on the same
+    /// trajectory as direct execution while leaving contents untouched
+    /// (pages start zeroed, and [`GlobalMem::content_hash`] skips all-zero
+    /// pages).
+    pub(crate) fn touch_store(&mut self, addrs: &[u64; WARP_SIZE], mask: u32, width: AccessWidth) {
+        let bytes = match width {
             AccessWidth::W4 => 4,
             AccessWidth::W8 => 8,
         };
         for lane in 0..WARP_SIZE {
-            if op.mask & (1 << lane) != 0 {
+            if mask & (1 << lane) != 0 {
                 // A lane write can straddle a page boundary; touch each
                 // byte's page the way the per-byte writes would.
                 for b in 0..bytes {
-                    let _ = self.page_mut(op.addrs[lane] + b);
+                    let _ = self.page_mut(addrs[lane] + b);
                 }
             }
         }
     }
-}
-
-/// One functional global-memory operation, staged by a core's issue stage
-/// and replayed against [`GlobalMem`] during the merge phase of the cycle.
-///
-/// Staging exists so that the parallel core loop never touches the shared
-/// functional memory from a worker thread: every cycle, each core appends
-/// the global loads/stores it issued (in issue order) to its private
-/// staging buffer, and the device replays all buffers *in fixed core
-/// order* — reproducing exactly the interleaving the sequential loop
-/// produces, byte for byte, at any thread count. Deferring a load's
-/// functional read from issue to merge is safe because its destination
-/// register stays scoreboard-pending for at least the L1 hit latency, so
-/// no instruction can observe the value before the merge lands it.
-///
-/// For loads, `values` carries nothing on input; for stores it carries the
-/// lane values captured at issue time (register reads are warp-private and
-/// cannot change between issue and merge within a cycle).
-#[derive(Debug, Clone)]
-pub(crate) struct GmemOp {
-    /// `true` for a store (apply `values`), `false` for a load (fill the
-    /// warp's destination register from memory).
-    pub is_store: bool,
-    /// Replay stores only: materialize the written pages but leave their
-    /// contents alone (replay never touches memory data).
-    pub touch_only: bool,
-    /// Destination warp slot (loads only).
-    pub warp: usize,
-    /// Destination register index (loads only).
-    pub reg: u8,
-    /// Access width of every lane.
-    pub width: AccessWidth,
-    /// Per-lane byte addresses.
-    pub addrs: [u64; WARP_SIZE],
-    /// Per-lane store values (stores only).
-    pub values: [u64; WARP_SIZE],
-    /// Active lanes.
-    pub mask: u32,
 }
 
 /// A CTA's functional shared-memory scratchpad (byte-addressable,

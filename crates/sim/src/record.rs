@@ -3,7 +3,7 @@
 //!
 //! Functional execution — ALU semantics, SIMT reconvergence, address
 //! generation, memory contents — is invariant across CTA policies, warp
-//! policies, core counts, and `--sim-threads`: only *timing* differs. A
+//! policies, and core counts: only *timing* differs. A
 //! capture run logs, per warp, the sequence of issued instructions (the
 //! program counter, the guard-resolved execution mask, and for memory
 //! operations the per-lane addresses) into an [`ExecRecord`]. A replay
@@ -16,7 +16,7 @@
 //! Replay is *byte-identical* to direct execution: `SimStats`, telemetry
 //! events and interval series, and (via [`ExecRecord::mem_hash`]) the
 //! final memory content hash all match exactly, under any CTA policy,
-//! warp policy, thread count, and fast-forward mode. The golden replay
+//! warp policy, and fast-forward mode. The golden replay
 //! suite (`tests/golden_replay.rs`) and the simcheck capture-replay
 //! differential oracle enforce this.
 //!
@@ -133,8 +133,7 @@ pub struct KernelRecord {
 /// final global-memory content hash observed at capture time.
 ///
 /// The record is the policy-independent functional artifact: one capture
-/// re-times under any CTA policy, warp policy, core count, or
-/// `--sim-threads` value. The carried `mem_hash` stands in for the final
+/// re-times under any CTA policy, warp policy, or core count. The carried `mem_hash` stands in for the final
 /// memory contents on replay runs (which never touch memory data).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecRecord {

@@ -1,11 +1,10 @@
 //! Simulation statistics: per-kernel and whole-run roll-ups.
 //!
-//! Every counter here is **thread-count invariant**: with parallel core
-//! stepping enabled (`GpuDevice::set_sim_threads`), shared counters are
-//! only mutated during the sequential merge phase, in fixed core order,
-//! so a run's [`SimStats`] is byte-identical at any `--sim-threads`
-//! value (enforced by `tests/golden_identity.rs` and the simcheck
-//! sequential-vs-parallel differential oracle).
+//! Every counter here is deterministic: the device steps its cores one
+//! after another in fixed core order, so the same run yields a
+//! byte-identical [`SimStats`] every time, with the idle fast-forward on
+//! or off (enforced by `tests/golden_identity.rs` and pinned by
+//! `tests/golden_pinned.rs`).
 
 use crate::core_model::CoreStats;
 use crate::sched_api::KernelId;

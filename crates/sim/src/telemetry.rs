@@ -27,7 +27,7 @@
 //! ([`TraceEvent::to_json`] / [`TraceEvent::from_json`]) and samples
 //! render as CSV rows ([`IntervalSample::csv_row`]).
 
-use crate::parallel::CoreAccess;
+use crate::core_model::Core;
 use crate::sched_api::KernelId;
 use gpgpu_mem::{Cycle, MemFabric};
 use std::fmt::Write as _;
@@ -905,7 +905,7 @@ impl Telemetry {
     pub(crate) fn maybe_sample(
         &mut self,
         now: Cycle,
-        cores: &mut CoreAccess<'_>,
+        cores: &[Core],
         fabric: &MemFabric,
         gmem_pages: usize,
     ) {
@@ -922,7 +922,7 @@ impl Telemetry {
     pub(crate) fn final_sample(
         &mut self,
         now: Cycle,
-        cores: &mut CoreAccess<'_>,
+        cores: &[Core],
         fabric: &MemFabric,
         gmem_pages: usize,
     ) {
@@ -940,7 +940,7 @@ impl Telemetry {
         &mut self,
         start: Cycle,
         end: Cycle,
-        cores: &mut CoreAccess<'_>,
+        cores: &[Core],
         fabric: &MemFabric,
         gmem_pages: usize,
     ) {
@@ -951,8 +951,7 @@ impl Telemetry {
             ..IntervalSample::default()
         };
         let mut now = Baseline::default();
-        for i in 0..cores.len() {
-            let core = cores.get(i);
+        for core in cores {
             let cs = core.stats();
             now.instructions += cs.issued;
             now.issued_slots += cs.issued_slots;

@@ -37,8 +37,7 @@ pub enum Scale {
     Tiny,
     /// Hundreds of CTAs — the harness default.
     Small,
-    /// Around a thousand CTAs per kernel — long enough per simulation
-    /// that `--sim-threads` scaling dominates batch-level parallelism.
+    /// Around a thousand CTAs per kernel — long single simulations.
     Large,
     /// Thousands of CTAs.
     Full,
