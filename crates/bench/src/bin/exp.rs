@@ -23,7 +23,7 @@ use gpgpu_bench::cli::{
     EXIT_RUNTIME, EXIT_USAGE,
 };
 use gpgpu_bench::experiments::{all_ids, collect_experiment, plan_experiment, trace_points};
-use gpgpu_bench::simcheck::{check_case, fuzz_seeds, FuzzCase};
+use gpgpu_bench::simcheck::{check_case, fuzz_seeds, oracle_runs_per_case, FuzzCase};
 use gpgpu_bench::{Harness, ReplayMode, ResultStore, RunEngine, RunSpec};
 use gpgpu_sim::TelemetryConfig;
 use std::io::Write;
@@ -493,7 +493,7 @@ fn run_fuzz(h: &Harness, args: &FuzzArgs) -> ExitCode {
         println!(
             "[fuzz: seeds {lo}..{hi} clean ({} cases, {} oracle runs each) in {:.1?}]",
             hi - lo,
-            3 + tbs_core::CtaPolicy::sweep_named().len(),
+            oracle_runs_per_case(),
             t0.elapsed()
         );
         return ExitCode::SUCCESS;

@@ -804,6 +804,14 @@ fn diff_slots(label: &str, got: &[u32], want: &[u32]) -> Option<String> {
     ))
 }
 
+/// Simulations [`check_case`] runs for one clean case: three
+/// differential runs (fast path, reference loop, repeat), a capture, a
+/// baseline replay, and a direct plus a replay run for each policy of the
+/// CTA sweep.
+pub fn oracle_runs_per_case() -> usize {
+    5 + 2 * CtaPolicy::sweep_named().len()
+}
+
 /// Runs the full oracle stack over `case` with stock schedulers. Empty
 /// result means the case is clean.
 pub fn check_case(case: &FuzzCase) -> Vec<Failure> {

@@ -425,6 +425,14 @@ impl Cache {
         }
     }
 
+    /// Books `n` more accesses rejected for structural reasons without
+    /// re-attempting them: the counters advance exactly as `n` failing
+    /// [`access`](Self::access) calls would have moved them.
+    pub fn book_rejected_retries(&mut self, n: u64) {
+        self.use_stamp += n;
+        self.stats.reservation_fails += n;
+    }
+
     /// Pops the next message destined for the lower level (writebacks drain
     /// first so fills are never blocked).
     pub fn pop_downstream(&mut self) -> Option<Downstream> {

@@ -170,6 +170,12 @@ pub struct DramChannel {
     banks: Vec<Bank>,
     bus_free: Cycle,
     in_flight: Vec<InFlight>,
+    /// Earliest completion among `in_flight` (`Cycle::MAX` when empty).
+    next_completion: Cycle,
+    /// Earliest cycle at which some queued request's bank is free
+    /// (`Cycle::MAX` when the queue is empty). Before it and before
+    /// `next_completion`, a tick can do nothing.
+    next_issue: Cycle,
     stats: DramStats,
 }
 
@@ -194,6 +200,8 @@ impl DramChannel {
             banks,
             bus_free: 0,
             in_flight: Vec::new(),
+            next_completion: Cycle::MAX,
+            next_issue: Cycle::MAX,
             stats: DramStats::default(),
         }
     }
@@ -224,6 +232,7 @@ impl DramChannel {
             return false;
         }
         let (bank, row) = self.bank_and_row(req.local_addr);
+        self.next_issue = self.next_issue.min(self.banks[bank as usize].busy_until);
         self.queue.push_back(Queued {
             req,
             enqueued: now,
@@ -235,10 +244,15 @@ impl DramChannel {
     }
 
     /// Advances the channel one cycle: possibly starts one queued request
-    /// and returns any requests completing at `now`.
+    /// and returns any requests completing at `now`. Returns at once, with
+    /// no effect, before the next completion and before any queued
+    /// request's bank frees.
     pub fn tick(&mut self, now: Cycle) -> Vec<DramCompletion> {
-        // Collect completions first.
         let mut done = Vec::new();
+        if now < self.next_completion && now < self.next_issue {
+            return done;
+        }
+        // Collect completions first.
         let mut i = 0;
         while i < self.in_flight.len() {
             if self.in_flight[i].completion <= now {
@@ -256,6 +270,17 @@ impl DramChannel {
         }
         // Keep completion order deterministic regardless of in-flight layout.
         done.sort_by_key(|c| (c.local_addr, c.token));
+        if !done.is_empty() {
+            self.next_completion = self
+                .in_flight
+                .iter()
+                .map(|f| f.completion)
+                .min()
+                .unwrap_or(Cycle::MAX);
+        }
+        if now < self.next_issue {
+            return done;
+        }
 
         // FR-FCFS issue with a starvation cap: among requests whose bank
         // is free, prefer the oldest row hit, else the oldest — unless
@@ -314,6 +339,7 @@ impl DramChannel {
                 (now + u64::from(access_lat)).max(self.bus_free) + u64::from(self.cfg.t_burst);
             bank.busy_until = completion;
             self.bus_free = completion;
+            self.next_completion = self.next_completion.min(completion);
             self.in_flight.push(InFlight {
                 completion,
                 out: DramCompletion {
@@ -324,6 +350,12 @@ impl DramChannel {
                 enqueued: q.enqueued,
             });
         }
+        self.next_issue = self
+            .queue
+            .iter()
+            .map(|q| self.banks[q.bank as usize].busy_until)
+            .min()
+            .unwrap_or(Cycle::MAX);
         done
     }
 
@@ -337,14 +369,8 @@ impl DramChannel {
     /// free), or `None` when it is quiesced. Conservative but never later
     /// than the true next event.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let mut next = Cycle::MAX;
-        for f in &self.in_flight {
-            next = next.min(f.completion.max(now));
-        }
-        for q in &self.queue {
-            next = next.min(self.banks[q.bank as usize].busy_until.max(now));
-        }
-        (next != Cycle::MAX).then_some(next)
+        let next = self.next_completion.min(self.next_issue);
+        (next != Cycle::MAX).then_some(next.max(now))
     }
 
     /// Current queue occupancy.
@@ -510,6 +536,23 @@ mod tests {
         assert_eq!(c.bank_and_row(1024), (1, 0));
         // After all banks, row increments.
         assert_eq!(c.bank_and_row(4096), (0, 1));
+    }
+
+    #[test]
+    fn request_to_busy_bank_issues_when_the_bank_frees() {
+        let mut c = chan();
+        assert!(c.submit(read(0, 1), 0));
+        assert!(c.tick(0).is_empty());
+        // Bank 0 is busy until 0 + tRCD + tCAS + burst = 24. A row hit
+        // queued meanwhile must start exactly then: done at 24 + tCAS +
+        // burst (the bus frees at 24 too).
+        assert!(c.submit(read(128, 2), 5));
+        assert_eq!(c.next_event(6), Some(24));
+        let done = run_until_done(&mut c, 1, 100);
+        let got: Vec<_> = done.iter().map(|d| (d.0, d.1.token)).collect();
+        assert_eq!(got, vec![(24, 1), (38, 2)]);
+        assert_eq!(c.stats().row_hits, 1);
+        assert_eq!(c.stats().total_latency, 24 + (38 - 5));
     }
 
     #[test]

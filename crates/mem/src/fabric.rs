@@ -10,7 +10,7 @@ use crate::cache::{Access, Cache, CacheConfig, CacheStats, DownstreamKind};
 use crate::dram::{DramChannel, DramConfig, DramRequest, DramStats};
 use crate::req::{AccessKind, Cycle, MemRequest, MemResponse, ReqId};
 use crate::xbar::{Crossbar, XbarConfig, XbarStats};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Configuration of the whole off-core memory system.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,8 +72,12 @@ pub struct FabricStats {
     pub stores_in: u64,
 }
 
+/// Where an in-flight load came from. Inside the fabric a load travels
+/// under the index of the slot holding its origin; the response gets the
+/// original id and core back from the slot.
 #[derive(Debug, Clone, Copy)]
-struct ReqCtx {
+struct LoadOrigin {
+    id: ReqId,
     core: usize,
 }
 
@@ -99,7 +103,10 @@ pub struct MemFabric {
     req_xbar: Crossbar<MemRequest>,
     resp_xbar: Crossbar<MemResponse>,
     partitions: Vec<Partition>,
-    ctx: BTreeMap<ReqId, ReqCtx>,
+    /// Dense table of in-flight loads, indexed by the id they travel under.
+    loads: Vec<Option<LoadOrigin>>,
+    /// Free slots of `loads`, reused LIFO.
+    free_loads: Vec<u32>,
     stats_extra: (u64, u64, u64), // loads_in, loads_out, stores_in
 }
 
@@ -133,7 +140,8 @@ impl MemFabric {
             req_xbar: Crossbar::new(xc(cfg.cores, cfg.partitions)),
             resp_xbar: Crossbar::new(xc(cfg.partitions, cfg.cores)),
             partitions,
-            ctx: BTreeMap::new(),
+            loads: Vec::new(),
+            free_loads: Vec::new(),
             stats_extra: (0, 0, 0),
             cfg,
         }
@@ -164,13 +172,27 @@ impl MemFabric {
             AccessKind::Load => 0,
             AccessKind::Store => req.size.max(1),
         };
-        if !self.req_xbar.try_send(now, req.core, dst, size, req) {
+        let slot = self.free_loads.last().map_or(self.loads.len(), |&s| s as usize);
+        let travel = match req.kind {
+            AccessKind::Load => MemRequest {
+                id: ReqId(slot as u64),
+                ..req
+            },
+            AccessKind::Store => req,
+        };
+        if !self.req_xbar.try_send(now, req.core, dst, size, travel) {
             return false;
         }
         match req.kind {
             AccessKind::Load => {
                 self.stats_extra.0 += 1;
-                self.ctx.insert(req.id, ReqCtx { core: req.core });
+                if self.free_loads.pop().is_none() {
+                    self.loads.push(None);
+                }
+                self.loads[slot] = Some(LoadOrigin {
+                    id: req.id,
+                    core: req.core,
+                });
             }
             AccessKind::Store => self.stats_extra.2 += 1,
         }
@@ -256,20 +278,24 @@ impl MemFabric {
                 if ready > now {
                     break;
                 }
-                let core = match self.ctx.get(&resp.id) {
-                    Some(c) => c.core,
-                    None => {
-                        // Unknown id (client bug); drop rather than wedge.
-                        p.responses.pop_front();
-                        continue;
-                    }
+                let slot = resp.id.0 as usize;
+                let Some(origin) = self.loads.get(slot).copied().flatten() else {
+                    // Unknown id (not an in-flight load); drop rather than
+                    // wedge.
+                    p.responses.pop_front();
+                    continue;
+                };
+                let resp = MemResponse {
+                    id: origin.id,
+                    ..resp
                 };
                 if self
                     .resp_xbar
-                    .try_send(now, pid, core, self.cfg.line_bytes, resp)
+                    .try_send(now, pid, origin.core, self.cfg.line_bytes, resp)
                 {
                     p.responses.pop_front();
-                    self.ctx.remove(&resp.id);
+                    self.loads[slot] = None;
+                    self.free_loads.push(slot as u32);
                     self.stats_extra.1 += 1;
                 } else {
                     break;
@@ -284,6 +310,11 @@ impl MemFabric {
     /// Pops the next response delivered to `core`.
     pub fn pop_response(&mut self, core: usize) -> Option<MemResponse> {
         self.resp_xbar.pop_delivered(core)
+    }
+
+    /// Whether a response waits for `core` to pop it.
+    pub fn has_response(&self, core: usize) -> bool {
+        self.resp_xbar.has_delivered(core)
     }
 
     /// The earliest cycle `>= now` at which ticking the fabric can change
@@ -320,7 +351,7 @@ impl MemFabric {
 
     /// Whether nothing is in flight anywhere in the fabric.
     pub fn quiesced(&self) -> bool {
-        self.ctx.is_empty()
+        self.free_loads.len() == self.loads.len()
             && self.req_xbar.quiesced()
             && self.resp_xbar.quiesced()
             && self.partitions.iter().all(|p| {
@@ -486,6 +517,33 @@ mod tests {
         assert_eq!(s.loads_out, 1);
         assert!(s.req_xbar.packets >= 1);
         assert!(s.resp_xbar.packets >= 1);
+    }
+
+    #[test]
+    fn response_with_unknown_id_is_dropped() {
+        let mut f = fabric();
+        assert!(f.try_submit(0, load(7, 0x80, 1)));
+        let mut got = Vec::new();
+        for now in 0..500 {
+            f.tick(now);
+            while let Some(r) = f.pop_response(1) {
+                got.push(r.id);
+            }
+        }
+        assert_eq!(got, vec![ReqId(7)]);
+        // Slot 0 is free again and slot 9 never existed: neither id names
+        // an in-flight load, so both responses are dropped, not wedged.
+        for id in [0, 9] {
+            f.partitions[0].responses.push_back((500, MemResponse { id: ReqId(id), addr: 0 }, 0));
+        }
+        f.tick(500);
+        assert!(f.partitions[0].responses.is_empty());
+        for now in 501..600 {
+            f.tick(now);
+        }
+        assert!(f.pop_response(0).is_none() && f.pop_response(1).is_none());
+        assert_eq!(f.stats().loads_out, 1);
+        assert!(f.quiesced());
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! is rotating-priority and deterministic.
 
 use crate::req::Cycle;
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Crossbar geometry and timing.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,15 +69,42 @@ struct TraversingPacket<T> {
     payload: T,
 }
 
+// Ordered by `(arrival, seq)` reversed, so the max-heap pops the earliest
+// arrival first and breaks ties in switch-entry order. `seq` is unique,
+// so the order is total.
+impl<T> PartialEq for TraversingPacket<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.seq == other.seq
+    }
+}
+
+impl<T> Eq for TraversingPacket<T> {}
+
+impl<T> PartialOrd for TraversingPacket<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> Ord for TraversingPacket<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.arrival, other.seq).cmp(&(self.arrival, self.seq))
+    }
+}
+
 /// A crossbar carrying opaque payloads of type `T`. See the
 /// [module docs](self) for the timing model.
 #[derive(Debug)]
 pub struct Crossbar<T> {
     cfg: XbarConfig,
     queues: Vec<VecDeque<QueuedPacket<T>>>,
+    /// Packets waiting in all input queues together; arbitration is
+    /// skipped while it is 0.
+    queued: usize,
     in_free: Vec<Cycle>,
     out_free: Vec<Cycle>,
-    traversing: Vec<TraversingPacket<T>>,
+    /// Packets in the switch, earliest `(arrival, seq)` on top.
+    traversing: BinaryHeap<TraversingPacket<T>>,
     delivered: Vec<VecDeque<T>>,
     seq: u64,
     stats: XbarStats,
@@ -93,9 +121,10 @@ impl<T> Crossbar<T> {
         assert!(cfg.flit_bytes >= 1 && cfg.queue_len >= 1);
         Crossbar {
             queues: (0..cfg.in_ports).map(|_| VecDeque::new()).collect(),
+            queued: 0,
             in_free: vec![0; cfg.in_ports],
             out_free: vec![0; cfg.out_ports],
-            traversing: Vec::new(),
+            traversing: BinaryHeap::new(),
             delivered: (0..cfg.out_ports).map(|_| VecDeque::new()).collect(),
             seq: 0,
             stats: XbarStats::default(),
@@ -137,33 +166,29 @@ impl<T> Crossbar<T> {
             payload,
             enqueued: now,
         });
+        self.queued += 1;
         true
     }
 
-    /// Advances one cycle: arbitrates input queues onto output ports and
-    /// moves arrivals into their delivery queues.
+    /// Advances one cycle: moves arrivals into their delivery queues in
+    /// `(arrival, seq)` order, then arbitrates input queues onto output
+    /// ports.
     pub fn tick(&mut self, now: Cycle) {
-        // Deliver arrivals (sorted for determinism). Remove from highest
-        // index down so swap_remove indices stay valid, then order the
-        // removed packets by (arrival, seq).
-        let arrived: Vec<usize> = (0..self.traversing.len())
-            .filter(|&i| self.traversing[i].arrival <= now)
-            .collect();
-        let mut items: Vec<TraversingPacket<T>> = Vec::with_capacity(arrived.len());
-        for &i in arrived.iter().rev() {
-            items.push(self.traversing.swap_remove(i));
-        }
-        items.sort_by_key(|p| (p.arrival, p.seq));
-        for p in items {
+        while self.traversing.peek().is_some_and(|p| p.arrival <= now) {
+            let p = self.traversing.pop().expect("peeked");
             self.delivered[p.dst].push_back(p.payload);
             self.stats.packets += 1;
         }
+        if self.queued == 0 {
+            return;
+        }
 
-        // Rotating-priority arbitration across input ports.
+        // Rotating-priority arbitration across input ports: port
+        // `now mod n` goes first.
         let n = self.cfg.in_ports;
         let start = (now % n as u64) as usize;
         for k in 0..n {
-            let src = (start + k) % n;
+            let src = if start + k < n { start + k } else { start + k - n };
             if self.in_free[src] > now {
                 continue;
             }
@@ -175,6 +200,7 @@ impl<T> Crossbar<T> {
                 continue;
             }
             let pkt = self.queues[src].pop_front().expect("head exists");
+            self.queued -= 1;
             let busy = pkt.flits;
             self.in_free[src] = now + busy;
             self.out_free[dst] = now + busy;
@@ -195,10 +221,15 @@ impl<T> Crossbar<T> {
         self.delivered[dst].pop_front()
     }
 
+    /// Whether a packet waits for pickup at output `dst`.
+    pub fn has_delivered(&self, dst: usize) -> bool {
+        !self.delivered[dst].is_empty()
+    }
+
     /// Whether no packets are queued, traversing, or awaiting pickup.
     pub fn quiesced(&self) -> bool {
         self.traversing.is_empty()
-            && self.queues.iter().all(VecDeque::is_empty)
+            && self.queued == 0
             && self.delivered.iter().all(VecDeque::is_empty)
     }
 
@@ -212,8 +243,11 @@ impl<T> Crossbar<T> {
         if self.delivered.iter().any(|q| !q.is_empty()) {
             return Some(now);
         }
-        for p in &self.traversing {
-            next = next.min(p.arrival.max(now));
+        if let Some(p) = self.traversing.peek() {
+            next = p.arrival.max(now);
+        }
+        if self.queued == 0 {
+            return (next != Cycle::MAX).then_some(next);
         }
         for (src, q) in self.queues.iter().enumerate() {
             if let Some(head) = q.front() {
@@ -320,6 +354,45 @@ mod tests {
         x.try_send(0, 0, 1, 32, 20);
         let got = drain(&mut x, 1, 30);
         assert_eq!(got.iter().map(|g| g.1).collect::<Vec<_>>(), vec![10, 20]);
+    }
+
+    #[test]
+    fn in_flight_packets_leave_in_arrival_then_seq_order() {
+        let mut heap = BinaryHeap::new();
+        for (arrival, seq) in [(9, 1), (8, 4), (8, 2), (7, 5), (9, 3)] {
+            heap.push(TraversingPacket {
+                arrival,
+                dst: 0,
+                seq,
+                payload: (),
+            });
+        }
+        let order: Vec<_> =
+            std::iter::from_fn(|| heap.pop().map(|p| (p.arrival, p.seq))).collect();
+        assert_eq!(order, vec![(7, 5), (8, 2), (8, 4), (9, 1), (9, 3)]);
+    }
+
+    #[test]
+    fn same_cycle_arrivals_of_one_and_four_flit_packets() {
+        let mut x = xbar();
+        // A 4-flit packet enters at 0 and arrives at 0 + 4 + 4; a 1-flit
+        // packet entering at 3 arrives at 3 + 1 + 4, the same cycle.
+        assert!(x.try_send(0, 0, 0, 128, 1));
+        let mut got = Vec::new();
+        for now in 0..20 {
+            if now == 3 {
+                assert!(x.try_send(now, 1, 1, 32, 2));
+            }
+            x.tick(now);
+            for dst in 0..2 {
+                while let Some(p) = x.pop_delivered(dst) {
+                    got.push((now, dst, p));
+                }
+            }
+        }
+        assert_eq!(got, vec![(8, 0, 1), (8, 1, 2)]);
+        assert_eq!(x.stats().packets, 2);
+        assert!(x.quiesced());
     }
 
     #[test]

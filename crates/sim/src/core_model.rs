@@ -16,6 +16,11 @@
 //! stores read and write the shared functional memory at issue, in issue
 //! order, so within a cycle a lower-numbered core's memory effects are
 //! visible to every higher-numbered one.
+//!
+//! A cycle that changes nothing but counters (a *no-op*, see
+//! [`Core::cycle`]) repeats identically until an event reaches the core,
+//! so the device may let the core sleep instead of stepping it: the
+//! skipped cycles are booked later, in closed form.
 
 use crate::coalesce::{coalesce, shared_conflict_passes};
 use crate::config::GpuConfig;
@@ -322,11 +327,6 @@ impl ReadySets {
         self.partitions[s * self.words.len() + w] & self.words[w].occupied
     }
 
-    /// Whether partition `s` holds any resident warp.
-    fn any_occupied(&self, s: usize) -> bool {
-        (0..self.words.len()).any(|w| self.occupied_in(s, w) != 0)
-    }
-
     /// A warp entered `slot`; its verdict is computed on first scan.
     fn insert(&mut self, slot: usize) {
         let word = &mut self.words[slot >> 6];
@@ -389,6 +389,16 @@ enum SlotStall {
     Barrier,
 }
 
+/// A sleeping core's bookkeeping (see [`Core::sleep_if_noop`]).
+#[derive(Debug, Clone, Copy)]
+struct Sleep {
+    /// First cycle not yet booked.
+    from: Cycle,
+    /// The core's own next event: a writeback falling due or the shared
+    /// pipe freeing. A fabric response or a CTA dispatch wakes it earlier.
+    wake_at: Cycle,
+}
+
 /// One streaming multiprocessor.
 pub struct Core {
     id: usize,
@@ -438,11 +448,17 @@ pub struct Core {
     /// Persistent ready-warp bitmask (one bit per warp slot), rebuilt per
     /// scheduler each cycle and used to validate the scheduler's pick.
     ready_mask: Vec<u64>,
-    /// Whether the most recent issue stage found any ready warp. Lets
-    /// [`quiet_wake`](Self::quiet_wake) reuse the issue stage's readiness
-    /// scan instead of repeating it; only meaningful immediately after
-    /// [`cycle`](Self::cycle) for the same cycle.
+    /// Whether the most recent issue stage found any ready warp (issued
+    /// or declined by its scheduler).
     had_ready_warp: bool,
+    /// Whether the most recent [`cycle`](Self::cycle) was a no-op, so
+    /// every later one repeats it until an event.
+    noop: bool,
+    /// `Some` while the core sleeps through repeats of a no-op cycle.
+    sleep: Option<Sleep>,
+    /// Core cycles spent asleep (booked by [`settle`](Self::settle)).
+    #[cfg_attr(not(test), allow(dead_code))]
+    slept_cycles: u64,
     /// Readiness memo and slot occupancy as per-class bitsets (see
     /// [`ReadySets`]). The issue scan reads these words instead of poking
     /// the fat `Option<Warp>` array.
@@ -517,6 +533,9 @@ impl Core {
             scratch_candidates: Vec::new(),
             ready_mask: vec![0; slots.div_ceil(64)],
             had_ready_warp: false,
+            noop: false,
+            sleep: None,
+            slept_cycles: 0,
             ready_sets: ReadySets::new(slots, cfg.num_sched_per_core as usize),
             scratch_outcomes: Vec::new(),
             capture: None,
@@ -810,61 +829,108 @@ impl Core {
         }
     }
 
-    /// Whether this core can do nothing at cycle `now` without external
-    /// input, and if so, the earliest future cycle its own state changes
-    /// (`Cycle::MAX` when it has no pending events at all). `None` means
-    /// the core is *not* quiet — it has memory work in flight or a warp
-    /// that could issue — so cycles must not be skipped.
-    ///
-    /// Valid only immediately after [`cycle`](Self::cycle) for that same
-    /// `now`: it reuses the issue stage's readiness scan
-    /// (`had_ready_warp`) rather than repeating it. Readiness cannot
-    /// appear out of thin air afterwards — it only changes through
-    /// writebacks (capped by `wb_next`), the shared pipe draining (capped
-    /// by `shared_pipe_free`), or memory responses (capped by the
-    /// fabric's next event, checked by the caller).
-    pub(crate) fn quiet_wake(&mut self, now: Cycle) -> Option<Cycle> {
-        if self.had_ready_warp
-            || !self.lsq.is_empty()
-            || self.staged_downstream.is_some()
-            || self.l1.has_downstream()
-        {
-            return None;
+    /// Puts the core to sleep after a no-op [`cycle`](Self::cycle) at
+    /// `now`: cycles from `now + 1` on repeat it until the core's next
+    /// writeback, the shared pipe freeing, a fabric response, a CTA
+    /// dispatch, or an L1 flush. The device skips a sleeping core and
+    /// books its cycles later through [`settle`](Self::settle).
+    pub(crate) fn sleep_if_noop(&mut self, now: Cycle) {
+        if !self.noop {
+            return;
         }
-        let mut wake = self.wb_next;
-        // `>=`: at `shared_pipe_free == now` the pipe frees exactly on the
-        // next cycle to run, which may make a shared-memory warp issuable
-        // — that cycle must execute live, not be skipped.
-        if self.shared_pipe_free >= now {
-            wake = wake.min(self.shared_pipe_free);
-        }
-        Some(wake)
+        // The issue stage saw the shared pipe as busy iff
+        // `shared_pipe_free > now`; the cycle it frees may make a
+        // shared-memory warp issuable.
+        let pipe = if self.shared_pipe_free > now { self.shared_pipe_free } else { Cycle::MAX };
+        self.sleep = Some(Sleep {
+            from: now + 1,
+            wake_at: self.wb_next.min(pipe),
+        });
     }
 
-    /// Books the scheduler-slot statistics for `cycles` skipped quiet
-    /// cycles, exactly as the cycle-by-cycle loop would have: a scheduler
-    /// partition with resident warps (none ready, by the quiet check)
-    /// stalls, an empty one idles. Warp residency cannot change during
-    /// quiet cycles, so one scan covers the whole span.
-    ///
-    /// Cycle accounting follows the same closed form: every skipped cycle
-    /// is quiet by construction, so each would have booked its scheduler
-    /// slots as `stall_ff_idle` had it run live (the issue stage applies
-    /// the identical quiet predicate per cycle), and the occupancy
-    /// integrals advance by the frozen residency times the span length.
-    pub(crate) fn account_skipped(&mut self, cycles: u64) {
-        let nsched = self.schedulers.len();
-        for s in 0..nsched {
-            if self.ready_sets.any_occupied(s) {
-                self.stats.stalled_slots += cycles;
-            } else {
-                self.stats.idle_slots += cycles;
+    /// Whether the core sleeps through cycle `now`. A core whose own wake
+    /// cycle arrived, or with a fabric response waiting, is woken
+    /// (skipped cycles booked) and must run `now` live.
+    pub(crate) fn sleeps_through(&mut self, now: Cycle, fabric: &MemFabric) -> bool {
+        match self.sleep {
+            None => false,
+            Some(s) if now < s.wake_at && !fabric.has_response(self.id) => true,
+            Some(_) => {
+                self.wake(now);
+                false
             }
         }
-        self.stats.stall_ff_idle += nsched as u64 * cycles;
+    }
+
+    /// Core cycles this core spent asleep so far (booked ones only).
+    #[cfg(test)]
+    pub(crate) fn slept_cycles(&self) -> u64 {
+        self.slept_cycles
+    }
+
+    /// The cycle a sleeping core wakes on its own, or `None` when awake.
+    pub(crate) fn wake_at(&self) -> Option<Cycle> {
+        self.sleep.map(|s| s.wake_at)
+    }
+
+    /// Books the cycles slept before `now` and wakes the core. Called
+    /// before anything outside the core's cycle changes its state (a CTA
+    /// dispatch, an L1 flush).
+    pub(crate) fn wake(&mut self, now: Cycle) {
+        self.settle(now);
+        self.sleep = None;
+    }
+
+    /// Books the cycles slept before `now`, leaving the core asleep.
+    /// Statistics read while a core sleeps are complete only after this.
+    pub(crate) fn settle(&mut self, now: Cycle) {
+        let Some(s) = self.sleep.as_mut() else {
+            return;
+        };
+        let cycles = now.saturating_sub(s.from);
+        s.from = s.from.max(now);
+        if cycles > 0 {
+            self.account_skipped(cycles);
+        }
+    }
+
+    /// Books `cycles` repeats of the last (no-op) cycle, exactly as the
+    /// cycle-by-cycle loop would have: each scheduler partition keeps
+    /// last cycle's outcome (idle when it held no warp, else stalled for
+    /// the same cause), a quiet cycle books `stall_ff_idle` instead of
+    /// the causes, a rejected L1 head access is retried and rejected
+    /// again every cycle, and the occupancy integrals advance by the
+    /// frozen residency times the span length.
+    fn account_skipped(&mut self, cycles: u64) {
+        // A no-op cycle was quiet iff the L1 port was empty: the issue
+        // stage found no ready warp and no downstream traffic was pending.
+        let quiet = self.lsq.is_empty();
+        for o in &self.scratch_outcomes {
+            match o {
+                SlotStall::NoResident => self.stats.idle_slots += cycles,
+                _ => self.stats.stalled_slots += cycles,
+            }
+            if quiet {
+                continue;
+            }
+            match o {
+                SlotStall::Issued => unreachable!("a no-op cycle issues nothing"),
+                SlotStall::NoResident => self.stats.stall_no_resident += cycles,
+                SlotStall::Scoreboard => self.stats.stall_scoreboard += cycles,
+                SlotStall::MemPending => self.stats.stall_mem_pending += cycles,
+                SlotStall::ExecBusy => self.stats.stall_exec_busy += cycles,
+                SlotStall::Barrier => self.stats.stall_barrier += cycles,
+            }
+        }
+        if quiet {
+            self.stats.stall_ff_idle += self.scratch_outcomes.len() as u64 * cycles;
+        } else {
+            self.l1.book_rejected_retries(cycles);
+        }
         self.stats.core_cycles += cycles;
         self.stats.cta_resident_cycles += u64::from(self.active_cta_count()) * cycles;
         self.stats.warp_resident_cycles += u64::from(self.used_warps) * cycles;
+        self.slept_cycles += cycles;
     }
 
     /// Advances the core one cycle: handles the fabric responses routed
@@ -872,20 +938,35 @@ impl Core {
     /// issue stage (global loads and stores hit `gmem` at issue, in issue
     /// order), and forwards the L1's downstream traffic into the fabric.
     /// CTAs that retire are appended to `retired` in retirement order.
+    /// Returns whether any instruction issued.
+    ///
+    /// The cycle is a *no-op* when no warp was ready (so nothing issued,
+    /// no scheduler declined a pick, and no CTA retired), the L1 port was
+    /// empty or rejected its head access, and no downstream message was
+    /// pending for the fabric. Its only effects then are counters, and
+    /// the next cycle repeats it exactly unless an event intervenes: a
+    /// writeback falls due, the shared pipe frees, a response arrives, a
+    /// CTA is dispatched, or the L1 is flushed.
     pub fn cycle(
         &mut self,
         now: Cycle,
         fabric: &mut MemFabric,
         gmem: &mut GlobalMem,
         retired: &mut Vec<CoreCtaCompletion>,
-    ) {
+    ) -> bool {
         while let Some(resp) = fabric.pop_response(self.id) {
             self.handle_response(now, resp);
         }
         self.process_writebacks(now);
-        self.pump_l1(now);
+        let l1_accepted = self.pump_l1(now);
+        let issued_before = self.stats.issued;
         self.issue(now, gmem, retired);
+        self.noop = !self.had_ready_warp
+            && !l1_accepted
+            && self.staged_downstream.is_none()
+            && !self.l1.has_downstream();
         self.forward_downstream(now, fabric);
+        self.stats.issued != issued_before
     }
 
     fn process_writebacks(&mut self, now: Cycle) {
@@ -954,36 +1035,35 @@ impl Core {
     /// Drives the L1 side of the load/store unit. The downstream messages
     /// an access produces stay queued inside the cache until
     /// [`forward_downstream`](Self::forward_downstream) runs at the end of
-    /// the same cycle.
-    fn pump_l1(&mut self, now: Cycle) {
+    /// the same cycle. Returns whether the port accepted an access.
+    fn pump_l1(&mut self, now: Cycle) -> bool {
         // One L1 port: service the head transaction.
-        if let Some(&txn) = self.lsq.front() {
-            let kind = if txn.is_store {
-                AccessKind::Store
-            } else {
-                AccessKind::Load
-            };
-            let id = (!txn.is_store).then_some(txn.id);
-            match self.l1.access(txn.line, kind, id, now) {
-                Access::Hit => {
-                    if let Some(token) = txn.token {
-                        let t = now + u64::from(self.cfg.l1_latency);
-                        self.schedule_wb(t, WbEvent::LoadPartDone { token });
-                    }
-                    self.lsq.pop_front();
+        let Some(&txn) = self.lsq.front() else {
+            return false;
+        };
+        let kind = if txn.is_store {
+            AccessKind::Store
+        } else {
+            AccessKind::Load
+        };
+        let id = (!txn.is_store).then_some(txn.id);
+        match self.l1.access(txn.line, kind, id, now) {
+            Access::Hit => {
+                if let Some(token) = txn.token {
+                    let t = now + u64::from(self.cfg.l1_latency);
+                    self.schedule_wb(t, WbEvent::LoadPartDone { token });
                 }
-                Access::Miss | Access::MissMerged => {
-                    if let Some(token) = txn.token {
-                        self.txn_wait.push((txn.id, token));
-                    }
-                    self.lsq.pop_front();
-                }
-                Access::MissNoAlloc => {
-                    self.lsq.pop_front();
-                }
-                Access::Fail(_) => {} // structural: retry next cycle
             }
+            Access::Miss | Access::MissMerged => {
+                if let Some(token) = txn.token {
+                    self.txn_wait.push((txn.id, token));
+                }
+            }
+            Access::MissNoAlloc => {}
+            Access::Fail(_) => return false, // structural: retry next cycle
         }
+        self.lsq.pop_front();
+        true
     }
 
     /// Forwards L1 downstream messages (fetches, write-throughs,
@@ -1191,12 +1271,11 @@ impl Core {
             }
         }
         // Cycle accounting. A quiet cycle — no ready warp and no memory
-        // work in flight on this core — is exactly one the idle
-        // fast-forward may skip (`quiet_wake`); booking it as
-        // `stall_ff_idle` here, from core-local state only, keeps every
-        // counter byte-identical across fast-forward modes. Non-quiet
-        // cycles book the per-partition attributions recorded during the
-        // scan.
+        // work queued on this core — books `stall_ff_idle`, from
+        // core-local state only, so live and slept cycles book alike.
+        // Non-quiet cycles book the per-partition attributions recorded
+        // during the scan (`account_skipped` replays them for slept
+        // cycles).
         let quiet = !self.had_ready_warp
             && self.lsq.is_empty()
             && self.staged_downstream.is_none()
@@ -2322,6 +2401,84 @@ mod tests {
         let strided = run(build(512));
         assert_eq!(coalesced, 1);
         assert_eq!(strided, 32);
+    }
+
+    /// Places one CTA at a time on the first core with room.
+    #[derive(Debug)]
+    struct FirstFit;
+
+    impl crate::sched_api::CtaScheduler for FirstFit {
+        fn name(&self) -> &str {
+            "first-fit"
+        }
+        fn select(
+            &mut self,
+            view: &crate::sched_api::DispatchView<'_>,
+        ) -> Option<crate::sched_api::Dispatch> {
+            let k = view.kernels().first()?;
+            let core = (0..view.num_cores()).find(|&c| view.core(c).capacity_for(k.id) > 0)?;
+            Some(crate::sched_api::Dispatch {
+                core,
+                kernel: k.id,
+                count: 1,
+            })
+        }
+    }
+
+    /// dst[i] = src[32 * i]: every lane of a warp loads its own line, so
+    /// the L1's MSHRs fill and its port rejects accesses while cores sleep.
+    fn strided_copy_desc(n: u32, src: u64, dst: u64) -> Arc<KernelDescriptor> {
+        let mut k = KernelBuilder::new("strided", Dim2::x(64));
+        let psrc = k.param(0);
+        let pdst = k.param(1);
+        let gid = k.global_tid_x();
+        let soff = k.shl(gid, 7u64);
+        let ea = k.iadd(psrc, soff);
+        let v = k.ld_global_u32(ea, 0);
+        let doff = k.shl(gid, 2u64);
+        let ed = k.iadd(pdst, doff);
+        k.st_global_u32(v, ed, 0);
+        let prog = Arc::new(k.build().unwrap());
+        Arc::new(
+            KernelDescriptor::builder(prog, Dim2::x(n.div_ceil(64)), Dim2::x(64))
+                .params([src, dst])
+                .build()
+                .unwrap(),
+        )
+    }
+
+    #[test]
+    fn vecadd_sleeps_through_most_core_cycles() {
+        // The identity suites compare the sleeping loop with the reference
+        // loop; they prove something only if cores really sleep. A
+        // strided copy runs alongside so that slept cycles include
+        // rejected L1 accesses.
+        let run = |fast: bool| {
+            let cfg = GpuConfig::fermi();
+            let mut gpu = crate::GpuDevice::new(cfg, &TestFactory, Box::new(FirstFit));
+            gpu.set_fast_forward(fast);
+            gpu.enable_telemetry(
+                crate::TelemetryConfig::new(250),
+                Box::new(crate::MemorySink::new()),
+            );
+            let n = 16 * 1024;
+            let (a, b, c) = (gpu.alloc(4 * n), gpu.alloc(4 * n), gpu.alloc(4 * n));
+            let (src, dst) = (gpu.alloc(128 * 2048), gpu.alloc(4 * 2048));
+            gpu.launch((*vecadd_desc(n as u32, a, b, c)).clone());
+            gpu.launch((*strided_copy_desc(2048, src, dst)).clone());
+            gpu.run(10_000_000).expect("kernels complete");
+            let slept: u64 = gpu.cores().iter().map(Core::slept_cycles).sum();
+            let samples = gpu.take_telemetry_data().expect("telemetry attached").samples;
+            (gpu.stats(), samples, slept)
+        };
+        let (fast, fast_samples, slept) = run(true);
+        let (reference, reference_samples, reference_slept) = run(false);
+        assert_eq!(fast, reference, "sleeping changed the statistics");
+        assert_eq!(fast_samples, reference_samples, "sleeping changed the interval series");
+        assert_eq!(reference_slept, 0, "the reference loop must not sleep");
+        assert!(fast.l1.reservation_fails > 0, "no L1 access was ever rejected");
+        let total: u64 = fast.cores.iter().map(|c| c.core_cycles).sum();
+        assert!(2 * slept > total, "only {slept} of {total} core-cycles slept");
     }
 
     #[test]

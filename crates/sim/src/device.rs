@@ -108,7 +108,6 @@ pub struct GpuDevice {
     now: Cycle,
     age_counter: u64,
     last_progress: Cycle,
-    last_issued_total: u64,
     /// Kernels still in [`KernelPhase::Pending`]; lets the per-cycle
     /// activation scan short-circuit to a counter check.
     pending_kernels: usize,
@@ -123,7 +122,8 @@ pub struct GpuDevice {
     /// Malformed scheduler decisions discarded (see
     /// [`SimStats::malformed_dispatches`]).
     malformed_dispatches: u64,
-    /// Idle fast-forward enabled (see [`set_fast_forward`](Self::set_fast_forward)).
+    /// Core sleep and idle fast-forward enabled (see
+    /// [`set_fast_forward`](Self::set_fast_forward)).
     fast_forward: bool,
     /// Attached telemetry; `None` (the default) keeps every hook a single
     /// branch on the fast path.
@@ -167,7 +167,6 @@ impl GpuDevice {
             now: 0,
             age_counter: 0,
             last_progress: 0,
-            last_issued_total: 0,
             pending_kernels: 0,
             dispatch_dirty: false,
             malformed_dispatches: 0,
@@ -177,11 +176,13 @@ impl GpuDevice {
         }
     }
 
-    /// Enables or disables the idle fast-forward for this device. When
-    /// enabled (the default), [`run`](Self::run) jumps over provably-idle
-    /// cycle spans in one step; statistics, per-kernel results, and
+    /// Enables or disables core sleep and the idle fast-forward for this
+    /// device. When enabled (the default), a core whose cycle was a no-op
+    /// sleeps until an event reaches it, and [`run`](Self::run) jumps over
+    /// spans where every core sleeps; statistics, per-kernel results, and
     /// telemetry are bit-identical either way. Disabling forces the
-    /// reference cycle-by-cycle loop (validation and debugging).
+    /// reference loop that steps every core every cycle (validation and
+    /// debugging).
     pub fn set_fast_forward(&mut self, enabled: bool) {
         self.fast_forward = enabled;
     }
@@ -400,6 +401,7 @@ impl GpuDevice {
                 .any(|(j, k)| j != i && k.phase == KernelPhase::Running);
             if self.cfg.flush_l1_on_kernel_launch && !any_other_running {
                 for c in &mut self.cores {
+                    c.wake(self.now);
                     c.flush_l1();
                 }
                 self.fabric.flush_l2();
@@ -530,6 +532,7 @@ impl GpuDevice {
                     self.telemetry.as_mut().expect("checked above").record(ev);
                 }
             }
+            self.cores[d.core].wake(self.now);
             for _ in 0..count {
                 let cta = self.kernels[d.kernel.0].next_cta;
                 self.kernels[d.kernel.0].next_cta += 1;
@@ -554,13 +557,37 @@ impl GpuDevice {
     /// then every core's [`Core::cycle`] in core order, then the memory
     /// fabric's tick, then completion accounting and telemetry.
     pub fn step(&mut self) {
+        if self.step_cycle() {
+            self.last_progress = self.now;
+        }
+        self.settle_cores();
+    }
+
+    /// Books every sleeping core's cycles up to `now`, so statistics read
+    /// from the cores are complete.
+    fn settle_cores(&mut self) {
+        for c in &mut self.cores {
+            c.settle(self.now);
+        }
+    }
+
+    /// One cycle of [`step`](Self::step), leaving sleeping cores'
+    /// bookings pending. Returns whether any core issued.
+    fn step_cycle(&mut self) -> bool {
         self.activate_pending();
         self.dispatch_ctas();
 
         let now = self.now;
+        let mut issued = false;
         let mut completions = Vec::new();
         for core in &mut self.cores {
-            core.cycle(now, &mut self.fabric, &mut self.gmem, &mut completions);
+            if core.sleeps_through(now, &self.fabric) {
+                continue;
+            }
+            issued |= core.cycle(now, &mut self.fabric, &mut self.gmem, &mut completions);
+            if self.fast_forward {
+                core.sleep_if_noop(now);
+            }
         }
         self.fabric.tick(now);
 
@@ -626,9 +653,13 @@ impl GpuDevice {
         }
         self.cta_sched = Some(cta_sched);
         self.now += 1;
+        if self.telemetry.as_ref().is_some_and(|t| self.now >= t.next_sample_at()) {
+            self.settle_cores(); // the sample reads every core's counters
+        }
         if let Some(t) = self.telemetry.as_mut() {
             t.maybe_sample(self.now, &self.cores, &self.fabric, self.gmem.resident_pages());
         }
+        issued
     }
 
     /// Runs until every launched kernel completes.
@@ -639,16 +670,18 @@ impl GpuDevice {
     /// [`SimError::Deadlock`] if nothing makes progress for the configured
     /// deadlock window.
     pub fn run(&mut self, max_cycles: u64) -> Result<(), SimError> {
-        let limit = self.now + max_cycles;
+        let result = self.run_loop(self.now + max_cycles, max_cycles);
+        self.settle_cores();
+        result
+    }
+
+    fn run_loop(&mut self, limit: Cycle, max_cycles: u64) -> Result<(), SimError> {
         while !self.all_done() {
             if self.now >= limit {
                 return Err(SimError::MaxCyclesExceeded { limit: max_cycles });
             }
-            self.step();
             // Progress detection: any issued instruction counts.
-            let issued: u64 = self.cores.iter().map(|c| c.stats().issued).sum();
-            if issued != self.last_issued_total {
-                self.last_issued_total = issued;
+            if self.step_cycle() {
                 self.last_progress = self.now;
             } else if self.now - self.last_progress > self.cfg.deadlock_cycles {
                 return Err(SimError::Deadlock { at: self.now });
@@ -659,18 +692,17 @@ impl GpuDevice {
         Ok(())
     }
 
-    /// Idle fast-forward: when no core can act at `now` without an
-    /// external event, jump straight to the earliest cycle at which
-    /// anything in the device can change, booking the skipped scheduler
-    /// slots exactly as the cycle-by-cycle loop would have.
+    /// Idle fast-forward: when every core sleeps and no CTA dispatch is
+    /// due, jump straight to the earliest cycle at which anything in the
+    /// device can change. The sleeping cores book the jumped cycles with
+    /// the rest of their sleep.
     ///
-    /// Bit-identity argument: a skipped cycle is one where every stage of
-    /// [`step`](Self::step) is a provable no-op apart from idle/stall slot
-    /// accounting ([`Core::account_skipped`] books those in closed form),
-    /// and every boundary with its own semantics caps the jump — the
-    /// writeback wheel's next drain and the shared-pipe release (via
-    /// [`Core::quiet_wake`]), the fabric's next event, the telemetry
-    /// sample edge, the cycle budget, and the deadlock window.
+    /// Bit-identity argument: a jumped cycle is one where every stage of
+    /// [`step`](Self::step) is a provable no-op apart from the sleeping
+    /// cores' counters, and every boundary with its own semantics caps the
+    /// jump — each core's own wake cycle, the fabric's next event (which
+    /// includes a response waiting for a core), the telemetry sample edge,
+    /// the cycle budget, and the deadlock window.
     fn fast_forward_idle(&mut self, limit: Cycle) {
         if self.dispatch_dirty {
             return; // CTA dispatch may act next cycle
@@ -679,8 +711,8 @@ impl GpuDevice {
         // Deadlock detection must trip on the same cycle it would have:
         // step through the last cycle of the quiet window ourselves.
         let mut target = limit.min(self.last_progress + self.cfg.deadlock_cycles);
-        for c in &mut self.cores {
-            match c.quiet_wake(now) {
+        for c in &self.cores {
+            match c.wake_at() {
                 None => return,
                 Some(w) => target = target.min(w),
             }
@@ -693,14 +725,15 @@ impl GpuDevice {
             // so run that step; the sample then lands on its usual cycle.
             target = target.min(tel.next_sample_at().saturating_sub(1));
         }
-        if target <= now {
-            return;
+        if target > now {
+            self.now = target;
         }
-        let skipped = target - now;
-        for c in &mut self.cores {
-            c.account_skipped(skipped);
-        }
-        self.now = target;
+    }
+
+    /// The cores, for crate-internal tests.
+    #[cfg(test)]
+    pub(crate) fn cores(&self) -> &[Core] {
+        &self.cores
     }
 
     /// Snapshot of run statistics.
